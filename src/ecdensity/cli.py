@@ -416,7 +416,7 @@ def cmd_cache(cfg: RunConfig, action: str) -> int:
         base.mkdir(parents=True, exist_ok=True)
         ps = [p for p in sieve_primes(cfg.table_cap) if p >= 5]
         for p in ps:
-            get_table(p, base, use_cache=True)
+            get_table(p, base)
         _diag(f"{len(ps)} tables present in {base}")
         return 0
     entries = sorted(base.glob("*.frbt")) if base.is_dir() else []

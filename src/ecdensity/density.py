@@ -45,7 +45,14 @@ from .characters import (
     gauss_sum,
 )
 from .curves import ConductorInfo, conductor, conductor_log_batch
-from .frobenius import get_table, lambda_block, lambda_p, lambda_p2, legendre_table
+from .frobenius import (
+    get_table,
+    inverse_table,
+    lambda_block,
+    lambda_p,
+    lambda_p2,
+    legendre_table,
+)
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
@@ -168,7 +175,7 @@ def _p1_term_direct(f: FamilySpec, p: int,
     lx = f.log_x
     pref = float(f.phi.phihat(math.log(p) / lx)) * 2.0 * math.log(p) / (p * lx)
     if p <= f.table_cap:
-        tab = get_table(p, f.cache_dir, use_cache=f.cache_dir is not None)
+        tab = get_table(p, f.cache_dir)
         sa = _residue_weights(na, wa, p)
         sb = _residue_weights(nb, wb, p)
         inner = float(sa @ tab.table.astype(np.float64) @ sb)
@@ -228,15 +235,6 @@ def direct_term_count(f: FamilySpec) -> int:
 # P1, dual (Poisson) route
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    """inv[k] = k^{-1} mod p for 1 <= k < p, by the O(p) recurrence."""
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1] = 1
-    for k in range(2, p):
-        inv[k] = (p - (p // k) * inv[p % k] % p) % p
-    return inv
-
-
 def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
                      count_only: bool) -> tuple[complex, int]:
     a_sc, b_sc = f.a_scale, f.b_scale
@@ -264,7 +262,7 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
     if count == 0:
         return 0.0j, 0
     kmod = k % p
-    inv = _inverse_table(p)
+    inv = inverse_table(p)
     kinv2 = inv[kmod] * inv[kmod] % p
     h3 = np.power(h % p, 3) % p
     phase = h3[:, None] * kinv2[None, :] % p
@@ -323,7 +321,7 @@ def p2_direct(f: FamilySpec) -> float:
     lx = f.log_x
     acc = _Neumaier()
     for p in _p2_primes(f):
-        tab = get_table(p, f.cache_dir, use_cache=f.cache_dir is not None)
+        tab = get_table(p, f.cache_dir)
         t = tab.table.astype(np.float64)
         sa = _residue_weights(na, wa, p)
         sb = _residue_weights(nb, wb, p)
@@ -514,7 +512,7 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
         gp = float(g(p / p_size))
         if gp == 0.0:
             continue
-        inv = _inverse_table(p)
+        inv = inverse_table(p)
         cp = math.log(p) / p**1.5 * psi4(p) * gp
         for k in ks:
             if k % p == 0:

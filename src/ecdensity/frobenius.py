@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,31 +24,8 @@ import numpy as np
 from .arith import is_prime, legendre, mod_inverse, psi4
 
 TABLE_MAGIC = b"FRBT"
-TABLE_VERSION = 1
+TABLE_VERSION = 2
 DEFAULT_TABLE_CAP = 1000
-
-_CRC64_POLY = 0xC96C5795D7870F42  # reflected ECMA-182
-
-
-def _crc64_table() -> list[int]:
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ (_CRC64_POLY if crc & 1 else 0)
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _crc64_table()
-
-
-def crc64(data: bytes) -> int:
-    crc = 0xFFFFFFFFFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFFFFFFFFFF
-
 
 def _check_p(p: int) -> None:
     if p <= 3 or not is_prime(p):
@@ -62,6 +40,22 @@ def legendre_table(p: int) -> np.ndarray:
     x = np.arange(1, p, dtype=np.int64)
     ls[(x * x) % p] = 1
     return ls
+
+
+def inverse_table(p: int) -> np.ndarray:
+    """inv[k] = k^{-1} mod p for 1 <= k < p (inv[0] = 0), as k^(p-2) by
+    square-and-multiply on int64 arrays; p < 2^31 keeps products exact."""
+    _check_p(p)
+    base = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    inv[0] = 0
+    return inv
 
 
 def lambda_p(a: int, b: int, p: int) -> int:
@@ -185,10 +179,8 @@ def twisted_closed_form_all(p: int) -> np.ndarray:
     ls = legendre_table(p).astype(np.float64)
     h = np.arange(p, dtype=np.int64)
     h3 = h * h % p * h % p
-    kinv2 = np.zeros(p, dtype=np.int64)
-    for k in range(1, p):
-        v = mod_inverse(k, p)
-        kinv2[k] = v * v % p
+    inv = inverse_table(p)
+    kinv2 = inv * inv % p
     phase = h3[:, None] * kinv2[None, :] % p
     out = -psi4(p) * p**1.5 * ls[None, :] * np.exp(-2j * np.pi * phase / p)
     out[:, 0] = 0.0
@@ -196,14 +188,15 @@ def twisted_closed_form_all(p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary cache: magic, version u32, p u64, entry width u8, int16 payload, crc64
+# binary cache: magic, version u32, p u64, entry width u8, int16 payload,
+# zlib.crc32 of everything before it as u32
 
 
 def save_table(tab: FrobTable, path: str | Path) -> None:
     payload = np.ascontiguousarray(tab.table, dtype="<i2").tobytes()
     head = TABLE_MAGIC + struct.pack("<IQB", TABLE_VERSION, tab.p, 2)
     body = head + payload
-    Path(path).write_bytes(body + struct.pack("<Q", crc64(body)))
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TableFormatError(ValueError):
@@ -213,7 +206,7 @@ class TableFormatError(ValueError):
 def load_table(path: str | Path) -> FrobTable:
     """Read a cached table; any mismatch (magic, version, size, CRC) raises."""
     raw = Path(path).read_bytes()
-    if len(raw) < 25:
+    if len(raw) < 21:
         raise TableFormatError(f"{path}: truncated header")
     if raw[:4] != TABLE_MAGIC:
         raise TableFormatError(f"{path}: bad magic {raw[:4]!r}")
@@ -222,13 +215,13 @@ def load_table(path: str | Path) -> FrobTable:
         raise TableFormatError(f"{path}: unsupported version {version}")
     if width != 2:
         raise TableFormatError(f"{path}: unsupported entry width {width}")
-    need = 17 + 2 * p * p + 8
+    need = 17 + 2 * p * p + 4
     if len(raw) != need:
         raise TableFormatError(f"{path}: wrong length {len(raw)}, expected {need}")
-    (stored,) = struct.unpack("<Q", raw[-8:])
-    if crc64(raw[:-8]) != stored:
+    (stored,) = struct.unpack("<I", raw[-4:])
+    if zlib.crc32(raw[:-4]) != stored:
         raise TableFormatError(f"{path}: checksum mismatch")
-    table = np.frombuffer(raw[17:-8], dtype="<i2").reshape(p, p).astype(np.int16)
+    table = np.frombuffer(raw[17:-4], dtype="<i2").reshape(p, p).astype(np.int16)
     return FrobTable(int(p), table)
 
 
@@ -240,24 +233,27 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "ecdensity"
 
 
-def table_path(p: int, directory: str | Path | None = None) -> Path:
-    base = Path(directory) if directory is not None else cache_dir()
-    return base / f"frob_p{p}.frbt"
+def table_path(p: int, directory: str | Path) -> Path:
+    return Path(directory) / f"frob_p{p}.frbt"
 
 
-def get_table(p: int, directory: str | Path | None = None, *, use_cache: bool = True) -> FrobTable:
-    """Load a table from the cache when present and valid, else compute it.
+def get_table(p: int, directory: str | Path | None = None) -> FrobTable:
+    """The table for p, read through the cache in `directory` when one is given.
 
-    A freshly computed table is written back only when the cache directory
-    already exists; corrupt files are recomputed but left in place for `gc`.
+    With no directory the table is computed and no file is touched.  With
+    one, a valid entry is loaded; a missing, corrupt or older-format entry
+    is recomputed and, when the directory exists, overwritten with the
+    fresh table.
     """
+    if directory is None:
+        return lambda_table(p)
     path = table_path(p, directory)
-    if use_cache and path.exists():
+    if path.exists():
         try:
             return load_table(path)
         except TableFormatError:
             pass
     tab = lambda_table(p)
-    if use_cache and path.parent.is_dir():
+    if path.parent.is_dir():
         save_table(tab, path)
     return tab

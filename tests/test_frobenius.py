@@ -1,6 +1,7 @@
 """Trace tables: values, identities, serialization, cache behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from ecdensity.arith import legendre, psi4, sieve_primes
 from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
-    crc64,
     get_table,
+    inverse_table,
     lambda_block,
     lambda_p,
     lambda_p2,
@@ -113,6 +114,12 @@ def test_twisted_sum_frozen_value():
     assert abs(val - (-psi4(5) * 5**1.5)) < 1e-9
 
 
+def _v1_file(tab):
+    # the retired v1 layout: same header, 8-byte checksum trailer
+    payload = np.ascontiguousarray(tab.table, dtype="<i2").tobytes()
+    return b"FRBT" + struct.pack("<IQB", 1, tab.p, 2) + payload + bytes(8)
+
+
 def test_save_load_round_trip(tmp_path):
     tab = lambda_table(11)
     path = tmp_path / "t.frbt"
@@ -143,13 +150,9 @@ def test_load_rejects_truncation_and_garbage(tmp_path):
     path.write_bytes(b"not a table at all")
     with pytest.raises(TableFormatError):
         load_table(path)
-
-
-def test_crc64_is_stable():
-    assert crc64(b"") == 0
-    v = crc64(b"ecdensity")
-    assert v == crc64(b"ecdensity")
-    assert v != crc64(b"ecdensitx")
+    path.write_bytes(_v1_file(tab))
+    with pytest.raises(TableFormatError, match="unsupported version 1"):
+        load_table(path)
 
 
 def test_get_table_uses_cache(tmp_path):
@@ -158,20 +161,33 @@ def test_get_table_uses_cache(tmp_path):
     assert not path.exists()
     t1 = get_table(p, tmp_path)
     assert path.exists()
+    flipped = bytearray(path.read_bytes())
+    flipped[-1] ^= 0xFF
     # poison the in-file copy; a fresh load must detect it, recompute,
-    # and still return correct values
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    t2 = get_table(p, tmp_path)
-    assert np.array_equal(t1.table, t2.table)
-    assert np.array_equal(t1.table, lambda_table(p).table)
+    # return correct values and replace the entry with a loadable one
+    for poisoned in (bytes(flipped), _v1_file(t1)):
+        path.write_bytes(poisoned)
+        with pytest.raises(TableFormatError):
+            load_table(path)
+        t2 = get_table(p, tmp_path)
+        assert np.array_equal(t1.table, t2.table)
+        assert np.array_equal(t1.table, lambda_table(p).table)
+        assert np.array_equal(load_table(path).table, lambda_table(p).table)
 
 
-def test_get_table_without_cache(tmp_path):
-    t = get_table(17, tmp_path, use_cache=False)
-    assert not table_path(17, tmp_path).exists()
+def test_get_table_without_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("ECDENSITY_CACHE_DIR", str(tmp_path))
+    t = get_table(17)
+    assert list(tmp_path.iterdir()) == []
     assert t.p == 17
+
+
+def test_inverse_table():
+    for p in PRIMES + [101, 997]:
+        inv = inverse_table(p)
+        assert inv[0] == 0
+        k = np.arange(1, p)
+        assert np.all(k * inv[1:] % p == 1)
 
 
 def test_table_file_is_deterministic(tmp_path):
