@@ -4,8 +4,8 @@ The direct path walks every curve in the lattice for every prime below
 X^nu.  The dual path rewrites the complete (a, b) sum through twisted
 character sums and Poisson summation, leaving only lattice points near the
 origin of the dual, weighted by the decaying transform of the box weight.
-Both must agree to rounding; the dual needs far fewer terms once X is
-large.
+The two differ only by the dual terms dropped below tail_tol, which is
+tightened to 1e-14 here; the dual needs far fewer terms once X is large.
 """
 
 import time

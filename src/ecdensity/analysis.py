@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,42 +30,31 @@ from scipy.integrate import quad
 
 @dataclass(frozen=True)
 class TestFunctionPair:
-    """An even pair (phi, phihat) with phihat of compact support.
+    """The even Fejer pair (phi, phihat) at parameter nu; phihat vanishes
+    outside [-nu, nu]."""
 
-    kind "fejer" is fully described by nu; kind "custom" wraps caller
-    evaluators plus the support radius of phihat.
-    """
-
-    kind: str
-    nu: Fraction | None = None
-    phi_fn: Callable | None = None
-    phihat_fn: Callable | None = None
-    support: float | None = None
+    nu: Fraction
 
     def phi(self, x):
-        if self.kind == "fejer":
-            n = float(self.nu)
-            return n * np.sinc(n * np.asarray(x, dtype=float)) ** 2
-        return self.phi_fn(x)
+        n = float(self.nu)
+        return n * np.sinc(n * np.asarray(x, dtype=float)) ** 2
 
     def phihat(self, y):
-        if self.kind == "fejer":
-            n = float(self.nu)
-            return np.maximum(0.0, 1.0 - np.abs(np.asarray(y, dtype=float)) / n)
-        return self.phihat_fn(y)
+        n = float(self.nu)
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(y, dtype=float)) / n)
 
     @property
     def phi0(self) -> float:
-        return float(self.nu) if self.kind == "fejer" else float(self.phi_fn(0.0))
+        return float(self.nu)
 
     @property
     def phihat0(self) -> float:
-        return 1.0 if self.kind == "fejer" else float(self.phihat_fn(0.0))
+        return 1.0
 
     @property
     def phihat_support(self) -> float:
         """phihat vanishes outside [-support, support]."""
-        return float(self.nu) if self.kind == "fejer" else float(self.support)
+        return float(self.nu)
 
 
 def fejer_pair(nu: Fraction | str | float) -> TestFunctionPair:
@@ -74,7 +62,7 @@ def fejer_pair(nu: Fraction | str | float) -> TestFunctionPair:
     nu = Fraction(nu).limit_denominator(10**9) if isinstance(nu, float) else Fraction(nu)
     if not 0 < nu <= 1:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    return TestFunctionPair(kind="fejer", nu=nu)
+    return TestFunctionPair(nu=nu)
 
 
 def _fejer_tail(w: float, x0: float, nu: float) -> float:
@@ -86,36 +74,25 @@ def _fejer_tail(w: float, x0: float, nu: float) -> float:
     return val
 
 
-def verify_fourier_pair(pair: TestFunctionPair, grid, tol: float = 1e-6) -> float:
+def verify_fourier_pair(pair: TestFunctionPair, grid) -> float:
     """Max over the grid of |quadrature transform of phi - claimed phihat|.
 
-    For the Fejer kind the slowly decaying oscillatory integral is split as
+    The slowly decaying oscillatory integral is split as
     2 phi(x) cos(2 pi x y) = [cos(2 pi y x) - cos(2 pi (y+nu) x)/2
     - cos(2 pi |y-nu| x)/2] / (pi^2 nu x^2), finite part by adaptive
-    quadrature and the three 1/x^2 tails by QAWF; custom pairs integrate to
-    the caller-scanned cutoff where |phi| stays below 1e-14.
+    quadrature and the three 1/x^2 tails by QAWF.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     worst = 0.0
-    if pair.kind == "fejer":
-        nu = float(pair.nu)
-        x0 = 24.0 / nu
-        for y in np.abs(grid):
-            finite, _ = quad(lambda x: 2.0 * pair.phi(x) * math.cos(2.0 * math.pi * x * y),
-                             0.0, x0, limit=2000, epsabs=1e-11, epsrel=1e-11)
-            tails = (_fejer_tail(y, x0, nu)
-                     - 0.5 * _fejer_tail(y + nu, x0, nu)
-                     - 0.5 * _fejer_tail(abs(y - nu), x0, nu))
-            worst = max(worst, abs(finite + tails - float(pair.phihat(y))))
-        return worst
-    # custom pair: find a cutoff where |phi| has decayed for good
-    xcut = 1.0
-    while xcut < 1e8 and max(abs(float(pair.phi(xcut))), abs(float(pair.phi(2 * xcut)))) > 1e-14:
-        xcut *= 2.0
+    nu = float(pair.nu)
+    x0 = 24.0 / nu
     for y in np.abs(grid):
-        val, _ = quad(lambda x: 2.0 * float(pair.phi(x)) * math.cos(2.0 * math.pi * x * y),
-                      0.0, xcut, limit=2000, epsabs=1e-10, epsrel=1e-10)
-        worst = max(worst, abs(val - float(pair.phihat(y))))
+        finite, _ = quad(lambda x: 2.0 * pair.phi(x) * math.cos(2.0 * math.pi * x * y),
+                         0.0, x0, limit=2000, epsabs=1e-11, epsrel=1e-11)
+        tails = (_fejer_tail(y, x0, nu)
+                 - 0.5 * _fejer_tail(y + nu, x0, nu)
+                 - 0.5 * _fejer_tail(abs(y - nu), x0, nu))
+        worst = max(worst, abs(finite + tails - float(pair.phihat(y))))
     return worst
 
 
@@ -148,14 +125,12 @@ class SmoothWeight:
     quadrature (which loses accuracy far outside the profiled band).
     """
 
-    def __init__(self, box: tuple[float, float, float, float] = DEFAULT_BOX,
-                 nodes: int = GL_NODES):
+    def __init__(self, box: tuple[float, float, float, float] = DEFAULT_BOX):
         x0, x1, y0, y1 = box
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate box {box}")
         self.box = tuple(float(t) for t in box)
-        self.nodes = int(nodes)
-        g, w = leggauss(self.nodes)
+        g, w = leggauss(GL_NODES)
         self._ax = []
         self._env = []
         for lo, hi in ((x0, x1), (y0, y1)):

@@ -10,25 +10,15 @@ height.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import DEFAULT_BOX, GaussianPair, poisson_mod_l_check
+from .analysis import DEFAULT_BOX
 from .arith import sieve_primes
-from .characters import (
-    char_order_and_conductor,
-    cubic_structure_report,
-    gauss_sum,
-    gauss_sum_matrix,
-    is_primitive,
-    quadratic_gauss_bound_check,
-    real_characters,
-)
+from .checks import IDENTITY_CHECKS
 from .density import (
     DEFAULT_TAIL_TOL,
     ZeroFileError,
@@ -40,17 +30,13 @@ from .density import (
     parse_zero_file,
     report_json,
     sweep_csv,
-    verify_char_expansion,
 )
 from .frobenius import (
     DEFAULT_TABLE_CAP,
     TableFormatError,
     cache_dir,
     get_table,
-    lambda_sq_total,
     load_table,
-    twisted_closed_form_all,
-    twisted_complete_sum_all,
 )
 from .harness import (
     dirichlet_meanvalue_suite,
@@ -261,106 +247,6 @@ def cmd_density(cfg: RunConfig) -> int:
 # verify
 
 
-def _identity_checks(cfg: RunConfig):
-    checks = []
-
-    def second_moment():
-        for p in sieve_primes(97):
-            if p < 5:
-                continue
-            if lambda_sq_total(p) != p * p * (p - 1):
-                return False, f"p={p}"
-        return True, "p <= 97"
-
-    def twisted_sums():
-        worst = 0.0
-        for p in sieve_primes(31):
-            if p < 5:
-                continue
-            err = abs(twisted_complete_sum_all(p) - twisted_closed_form_all(p)).max()
-            worst = max(worst, float(err) / p**1.5)
-            if worst > 1e-6:
-                return False, f"p={p} rel err {worst:.2e}"
-        return True, f"p <= 31, worst rel err {worst:.2e}"
-
-    def gauss_suite():
-        for q in range(1, 121):
-            _, _, mat = gauss_sum_matrix(q)
-            if abs(mat).max() > math.sqrt(q) + 1e-9:
-                return False, f"|tau| > sqrt(q) at q={q}"
-        worst = 0.0
-        for l in range(3, 200, 2):
-            for chi in real_characters(l):
-                if not is_primitive(chi):
-                    continue
-                order, _ = char_order_and_conductor(chi)
-                if order != 2:
-                    continue
-                fac_sf = all(l % (pp * pp) for pp in sieve_primes(int(l**0.5) + 1))
-                if not fac_sf:
-                    continue
-                for a in (1, 2, l - 1):
-                    if math.gcd(a, l) != 1:
-                        continue
-                    tau = gauss_sum(chi, a)
-                    root = math.sqrt(l)
-                    chi_a = chi(a)
-                    want = chi_a * root if l % 4 == 1 else 1j * chi_a * root
-                    worst = max(worst, abs(tau - want))
-        if worst > 1e-9:
-            return False, f"real primitive mismatch {worst:.2e}"
-        for l in range(3, 121):
-            s, bound = quadratic_gauss_bound_check(l, 1, 1)
-            if s > bound + 1e-9:
-                return False, f"quadratic bound fails at l={l}"
-        return True, f"q <= 120, real primitive worst {worst:.2e}"
-
-    def cubic_structure():
-        rows = cubic_structure_report(1000)
-        bad = [r.q for r in rows if not r.shape_ok]
-        if bad:
-            return False, f"shape violations at {bad[:5]}"
-        by_q = {r.q: r.n_primitive_cubic for r in rows}
-        if by_q.get(9, 0) != 2 or by_q.get(27, -1) != 0:
-            return False, f"mod 9 -> {by_q.get(9)}, mod 27 -> {by_q.get(27)}"
-        return True, f"q <= 1000, {len(rows)} moduli with cubic characters"
-
-    def char_expansion():
-        f = _spec_for(cfg, 1000.0)
-        chk = verify_char_expansion(4.0, 6.0, 50.0, f)
-        ok = chk.rel_err <= 1e-8
-        return ok, f"(4,6,50) rel err {chk.rel_err:.2e}"
-
-    def poisson_checks():
-        pair = GaussianPair(1.0)
-        lhs, rhs = poisson_mod_l_check(pair, 7, 3, 5.0)
-        if abs(lhs - rhs) > 1e-12 * (1 + abs(lhs)):
-            return False, f"mod-l identity off by {abs(lhs - rhs):.2e}"
-        f = replace(_spec_for(cfg, 1000.0), tail_tol=1e-14)
-        from .density import p1_direct
-        d = p1_direct(f)
-        p = p1_poisson(f)
-        ok = abs(d - p) <= 1e-6 * (1 + abs(d))
-        return ok, f"X=1e3 dual gap {abs(d - p):.2e}"
-
-    checks = [
-        ("second_moment", second_moment),
-        ("twisted_sums", twisted_sums),
-        ("gauss_suite", gauss_suite),
-        ("cubic_structure", cubic_structure),
-        ("char_expansion", char_expansion),
-        ("poisson_checks", poisson_checks),
-    ]
-    failed = 0
-    for name, fn in checks:
-        t0 = time.perf_counter()
-        ok, detail = fn()
-        dt = time.perf_counter() - t0
-        _diag(f"{'ok  ' if ok else 'FAIL'} {name}: {detail} [{dt:.1f}s]")
-        failed += not ok
-    return failed
-
-
 def _lemma_suite(cfg: RunConfig) -> int:
     failed = 0
     reports = []
@@ -400,7 +286,12 @@ def _lemma_suite(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     failed = 0
     if suite in ("identities", "all"):
-        failed += _identity_checks(cfg)
+        for name, check in IDENTITY_CHECKS.items():
+            t0 = time.perf_counter()
+            ok, detail = check()
+            dt = time.perf_counter() - t0
+            _diag(f"{'ok  ' if ok else 'FAIL'} {name}: {detail} [{dt:.1f}s]")
+            failed += not ok
     if suite in ("lemmas", "all"):
         failed += _lemma_suite(cfg)
     return 0 if failed == 0 else 1

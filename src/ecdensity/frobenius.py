@@ -165,28 +165,6 @@ def twisted_closed_form(p: int, h: int, k: int) -> complex:
     return -legendre(k, p) * psi4(p) * p**1.5 * np.exp(-2j * np.pi * t / p)
 
 
-def twisted_complete_sum_all(p: int, tab: FrobTable | None = None) -> np.ndarray:
-    """The brute-force sum for every (h, k) in [0,p)^2 at once (inverse 2D DFT)."""
-    _check_p(p)
-    if tab is None:
-        tab = lambda_table(p)
-    return np.fft.ifft2(tab.table.astype(np.float64)) * p * p
-
-
-def twisted_closed_form_all(p: int) -> np.ndarray:
-    """Closed-form grid matching twisted_complete_sum_all."""
-    _check_p(p)
-    ls = legendre_table(p).astype(np.float64)
-    h = np.arange(p, dtype=np.int64)
-    h3 = h * h % p * h % p
-    inv = inverse_table(p)
-    kinv2 = inv * inv % p
-    phase = h3[:, None] * kinv2[None, :] % p
-    out = -psi4(p) * p**1.5 * ls[None, :] * np.exp(-2j * np.pi * phase / p)
-    out[:, 0] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # binary cache: magic, version u32, p u64, entry width u8, int16 payload,
 # zlib.crc32 of everything before it as u32

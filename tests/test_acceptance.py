@@ -14,12 +14,16 @@ purpose rather than loosened:
   The values themselves are confirmed against a brute-force evaluation in
   test_density.py.
 
+Gates 01-06 check exact identities.  Their ranges, tolerances and time
+limits are defined once, in ecdensity.checks.IDENTITY_CHECKS, which
+``ecdensity verify identities`` runs as well; each gate here calls its entry
+and asserts the result.  Gate 03 adds its own cost claim on top.
+
 The measured values are asserted nowhere else; unit suites check the
 mechanics of these paths and stay green.
 """
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,31 +32,17 @@ import pytest
 from ecdensity import (
     density_report,
     family,
-    gauss_sum,
-    gauss_sum_matrix,
-    lambda_sq_total,
     lambda_table,
     lemma_f_growth,
     load_table,
-    p1_direct,
-    p1_poisson,
     p2_direct,
     rank_bound_exact,
     save_table,
-    sieve_primes,
     sweep_csv,
-    twisted_closed_form,
-    twisted_complete_sum,
-    verify_char_expansion,
     w_total,
     TableFormatError,
 )
-from ecdensity.characters import (
-    cubic_structure_report,
-    is_primitive,
-    quadratic_gauss_bound_check,
-    real_characters,
-)
+from ecdensity.checks import IDENTITY_CHECKS
 from ecdensity.density import direct_term_count, poisson_term_count
 from ecdensity.harness import gallagher_spacing_suite, large_sieve_suite
 
@@ -70,47 +60,22 @@ def reports():
 # -- 01: exact second moment of the trace over the full (a, b) grid ---------
 
 def test_01_second_moment_identity_exact():
-    t0 = time.perf_counter()
-    for p in sieve_primes(97):
-        if p < 5:
-            continue
-        total = lambda_sq_total(p)
-        assert isinstance(total, int)
-        assert total == p * p * (p - 1), p
-    assert time.perf_counter() - t0 < 30.0
+    ok, detail = IDENTITY_CHECKS["second_moment"]()
+    assert ok, detail
 
 
 # -- 02: twisted complete sum against its closed form, all residue pairs ----
 
 def test_02_twisted_sum_closed_form_all_pairs():
-    t0 = time.perf_counter()
-    for p in sieve_primes(50):
-        if p < 5:
-            continue
-        tab = lambda_table(p)
-        tol = 1e-6 * p**1.5
-        for h in range(p):
-            for k in range(p):
-                brute = twisted_complete_sum(p, h, k, tab)
-                closed = twisted_closed_form(p, h, k)
-                if k == 0:
-                    assert closed == 0
-                assert abs(brute - closed) <= tol, (p, h, k)
-    assert time.perf_counter() - t0 < 120.0
+    ok, detail = IDENTITY_CHECKS["twisted_sums"]()
+    assert ok, detail
 
 
 # -- 03: Poisson-dual path equals the direct path, and is the cheap one -----
 
 def test_03_poisson_dual_equivalence():
-    for x in (1e3, 1e4):
-        f = family(x)
-        t0 = time.perf_counter()
-        direct = p1_direct(f)
-        elapsed = time.perf_counter() - t0
-        dual = p1_poisson(f)
-        assert abs(direct - dual) <= 1e-6 * (1.0 + abs(direct)), x
-        if x == 1e4:
-            assert elapsed < 120.0
+    ok, detail = IDENTITY_CHECKS["dual_routes"]()
+    assert ok, detail
     f6 = family(1e6)
     assert poisson_term_count(f6) < 0.01 * direct_term_count(f6)
 
@@ -118,57 +83,22 @@ def test_03_poisson_dual_equivalence():
 # -- 04: Gauss sum bounds and the real-primitive evaluation -----------------
 
 def test_04_gauss_sum_suite():
-    # |tau_a(chi)| <= sqrt(l) for every character and every unit twist
-    for l in range(2, 301):
-        _, units, mat = gauss_sum_matrix(l)
-        assert np.abs(mat).max() <= math.sqrt(l) + 1e-9, l
-
-    # real primitive characters mod odd squarefree l: tau_a is chi(a) sqrt(l)
-    # for l = 1 mod 4 and i chi(a) sqrt(l) for l = 3 mod 4
-    for l in range(3, 500, 2):
-        if any(l % (q * q) == 0 for q in sieve_primes(int(math.isqrt(l)))):
-            continue
-        eps = 1.0 if l % 4 == 1 else 1.0j
-        root = math.sqrt(l)
-        prim = [chi for chi in real_characters(l) if is_primitive(chi)]
-        assert prim, l
-        for chi in prim:
-            for a in range(1, l):
-                if math.gcd(a, l) != 1:
-                    continue
-                tau = gauss_sum(chi, a)
-                assert abs(tau - chi(a) * eps * root) <= 1e-9, (l, a)
-
-    # quadratic phase sums stay under 2 sqrt(l) whenever gcd(a, l) = 1
-    for l in range(2, 301):
-        for a in (1, 2, 3, l - 1):
-            if math.gcd(a, l) != 1:
-                continue
-            for k in (0, 1, 5):
-                s, bound = quadratic_gauss_bound_check(l, a, k)
-                assert bound == pytest.approx(2 * math.sqrt(l))
-                assert s <= bound + 1e-9, (l, a, k)
+    ok, detail = IDENTITY_CHECKS["gauss_sums"]()
+    assert ok, detail
 
 
 # -- 05: cubic characters exist only at the structured moduli ---------------
 
 def test_05_cubic_character_structure():
-    rows = cubic_structure_report(5000)
-    assert len(rows) == 5000
-    assert all(r.shape_ok for r in rows)
-    by_q = {r.q: r for r in rows}
-    assert by_q[9].n_primitive_cubic == 2
-    assert by_q[27].n_primitive_cubic == 0
+    ok, detail = IDENTITY_CHECKS["cubic_structure"]()
+    assert ok, detail
 
 
 # -- 06: character-expansion identity for the twisted double sum ------------
 
 def test_06_character_expansion_identity():
-    f = family(250.0)
-    for triple in ((4, 6, 50), (3, 4, 40), (5, 3, 30)):
-        chk = verify_char_expansion(*triple, f)
-        assert abs(chk.lhs) > 0, triple
-        assert chk.rel_err <= 1e-8, (triple, chk.rel_err)
+    ok, detail = IDENTITY_CHECKS["char_expansion"]()
+    assert ok, detail
 
 
 # -- 07: constant-1 inequalities over randomized instances ------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ecdensity import cli
+from ecdensity.checks import IDENTITY_CHECKS
 from ecdensity.cli import (
     ConfigError,
     RunConfig,
@@ -178,7 +180,28 @@ def test_crosscheck_short_list_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-# -- verify (lemma suite only here; identities run in the acceptance suite) --
+# -- verify ------------------------------------------------------------------
+
+def test_identity_registry_names():
+    assert list(IDENTITY_CHECKS) == [
+        "second_moment", "twisted_sums", "dual_routes", "gauss_sums",
+        "cubic_structure", "char_expansion", "poisson_mod_l",
+    ]
+    ok, detail = IDENTITY_CHECKS["poisson_mod_l"]()
+    assert ok, detail
+
+
+def test_verify_identities_runs_registry_in_order(monkeypatch, capsys):
+    # the real entries are the acceptance gates 01-06; fakes test the loop
+    checks = {"passes": lambda: (True, "fine"), "fails": lambda: (False, "broken")}
+    for names, want_rc in ((["passes"], 0), (["passes", "fails"], 1)):
+        monkeypatch.setattr(cli, "IDENTITY_CHECKS", {n: checks[n] for n in names})
+        rc = main(["verify", "identities"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == want_rc
+        assert [line.rsplit(" [", 1)[0] for line in lines] == [
+            "ok   passes: fine", "FAIL fails: broken"][: len(names)]
+
 
 def test_verify_lemmas_reports_growth_excess(tmp_path, capsys):
     # the divisor-kernel sums carry polylog factors, so four of the six

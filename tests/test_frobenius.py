@@ -22,9 +22,7 @@ from ecdensity.frobenius import (
     save_table,
     table_path,
     twisted_closed_form,
-    twisted_closed_form_all,
     twisted_complete_sum,
-    twisted_complete_sum_all,
 )
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
@@ -98,10 +96,7 @@ def test_twisted_sum_closed_form():
     # sum over (a, b) of lambda * e((ha + kb)/p) has a closed form built
     # from psi4, the Legendre symbol, and a cubic-phase Gauss factor
     for p in (5, 7, 11, 13, 19, 31):
-        direct = twisted_complete_sum_all(p)
-        closed = twisted_closed_form_all(p)
         scale = p**1.5
-        assert np.max(np.abs(direct - closed)) < 1e-6 * scale
         for h, k in [(0, 1), (1, 1), (2, 3), (0, 0)]:
             d = twisted_complete_sum(p, h, k)
             c = twisted_closed_form(p, h, k)
