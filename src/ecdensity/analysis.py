@@ -8,9 +8,10 @@ whose transform has compact support; the shipped pair is the Fejer pair
 
 so phi(0) = nu and phihat(0) = 1.  Family weights are tensor products of the
 C-infinity bump u(t) = exp(-1/(t(1-t))) scaled to a box; their transforms
-are evaluated by fixed 256-node Gauss-Legendre per axis, with a one-time FFT
-magnitude profile per axis supplying certified truncation radii for lattice
-sums (the quadrature itself is only trusted inside the profiled band).
+are a fixed 256-node Gauss-Legendre sum per axis, at single points or on a
+whole progression by one factored product, with a one-time FFT magnitude
+profile per axis supplying certified truncation radii for lattice sums (the
+quadrature itself is only trusted inside the profiled band).
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class SmoothWeight:
     """Tensor-product bump weight on a box, with transform and truncation data.
 
     what(u, v) factorizes as axis_transform(0, u) * axis_transform(1, v); each
-    axis transform is a fixed Gauss-Legendre sum over the box edge.  radius(i,
+    axis transform is a fixed Gauss-Legendre sum over the box edge, also
+    evaluated on progressions u = j * step by axis_progression.  radius(i,
     thresh) returns a frequency beyond which |axis transform| stays below
     thresh, certified by a dense FFT magnitude envelope rather than by the
     quadrature (which loses accuracy far outside the profiled band).
@@ -172,6 +174,18 @@ class SmoothWeight:
         u_arr = np.asarray(u, dtype=float)
         ph = np.exp(-2j * np.pi * np.multiply.outer(u_arr, xs))
         return ph @ wf
+
+    def axis_progression(self, i: int, step: float, n: int) -> np.ndarray:
+        """axis_transform(i, j * step) for j = -n..n: with j = q b + r, b ~
+        sqrt(n), e(-x j step) = e(-x q b step) e(-x r step), so two sqrt(n)-row
+        tables and one product replace n rows; v(-j) = conj(v(j)) exactly."""
+        _, _, xs, wf = self._ax[i]
+        b = math.isqrt(n) + 1
+        nq = n // b + 1
+        outer = np.exp(-2j * np.pi * np.multiply.outer(np.arange(0, nq * b, b) * step, xs))
+        inner = np.exp(-2j * np.pi * np.multiply.outer(np.arange(b) * step, xs))
+        v = ((outer * wf) @ inner.T).ravel()[: n + 1]
+        return np.concatenate((v[:0:-1].conj(), v))
 
     def _axis_scalar(self, i: int, u: float) -> complex:
         key = round(float(u), 12)

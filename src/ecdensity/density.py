@@ -237,6 +237,19 @@ def direct_term_count(f: FamilySpec) -> int:
 # P1, dual (Poisson) route
 
 
+def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per h-row, the count of k with |va| |vb| >= tol and the least passing
+    |vb| (inf if none): searchsorted, then steps by the exact product."""
+    order = np.sort(absb)
+    n = order.size
+    idx = np.searchsorted(order, tol / np.maximum(absa, 1e-300))
+    while (down := (idx > 0) & (absa * order[idx - 1] >= tol)).any():
+        idx -= down
+    while (up := (idx < n) & (absa * order[np.minimum(idx, n - 1)] < tol)).any():
+        idx += up
+    return n - idx, np.append(order, np.inf)[idx]
+
+
 def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
                      count_only: bool) -> tuple[complex, int]:
     a_sc, b_sc = f.a_scale, f.b_scale
@@ -248,31 +261,30 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
     kmax = int(r1 * p / b_sc)
     h = np.arange(-hmax, hmax + 1, dtype=np.int64)
     k = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    k = k[k % p != 0]  # (k/p) = 0 there, exactly
+    keep = k % p != 0  # (k/p) = 0 there, exactly
+    k = k[keep]
     if k.size == 0:
         return 0.0j, 0
-    va = wt.axis_transform(0, h * (a_sc / p))
-    vb = wt.axis_transform(1, k * (b_sc / p))
-    absa, absb = np.abs(va), np.abs(vb)
-    if count_only:
-        order = np.sort(absb)
-        lo = tol / np.maximum(absa, 1e-300)
-        count = int(np.sum(order.size - np.searchsorted(order, lo)))
+    va = wt.axis_progression(0, a_sc / p, hmax)
+    vb = wt.axis_progression(1, b_sc / p, kmax)[keep]
+    absb = np.abs(vb)
+    counts, cut = _row_cuts(np.abs(va), absb, tol)
+    count = int(counts.sum())
+    if count_only or count == 0:
         return 0.0j, count
-    mask = absa[:, None] * absb[None, :] >= tol
-    count = int(mask.sum())
-    if count == 0:
-        return 0.0j, 0
     kmod = k % p
     inv = inverse_table(p)
     kinv2 = inv[kmod] * inv[kmod] % p
     h3 = np.power(h % p, 3) % p
-    phase = h3[:, None] * kinv2[None, :] % p
-    omega = np.exp(-2j * np.pi * np.arange(p) / p)
-    mat = omega[phase]
+    # (p - 1)^2 fits int32 below 46341; dropped cells read omega[p] = 0
+    dt = np.int32 if p < 46341 else np.int64
+    phase = np.multiply.outer(h3.astype(dt), kinv2.astype(dt))
+    phase %= p
+    np.copyto(phase, p, where=absb[None, :] < cut[:, None])
+    omega = np.append(np.exp(-2j * np.pi * np.arange(p) / p), 0.0)
     ls = legendre_table(p).astype(np.float64)
     coeff = ls[kmod] * vb
-    s_p = complex(va @ ((mat * mask) @ coeff))
+    s_p = complex(va @ (omega.take(phase) @ coeff))
     return s_p, count
 
 
@@ -381,6 +393,7 @@ class DensityReport:
     predicted: float
     gap: float
     rank_bound: Fraction
+    p1_imag_leak: float | None = None  # |Im P1| on the dual route
     term_counts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
@@ -436,6 +449,7 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
         predicted=predicted,
         gap=abs(assembled - predicted),
         rank_bound=rank_bound_exact(f.nu),
+        p1_imag_leak=stats.get("imag_leak"),
         term_counts=counts,
         timings=timings,
         warnings=tuple(warnings),
@@ -466,6 +480,7 @@ def report_json(r: DensityReport) -> str:
         "scaled_mass": r.scaled_mass,
         "P1": r.p1,
         "P2": r.p2,
+        "P1_imag_leak": r.p1_imag_leak,
         "P1_over_W": r.p1_over_w,
         "P2_over_W": r.p2_over_w,
         "C_lo": r.c_lo,

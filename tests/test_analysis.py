@@ -102,6 +102,41 @@ def test_axis_transform_against_quadrature():
             assert got == pytest.approx(complex(re, im), abs=1e-12)
 
 
+# n * step stays in the band |u| <= 41 where the quadrature is trusted
+@pytest.mark.parametrize("step, n", [(0.5, 0), (0.5, 1), (1.3, 15), (0.31, 7),
+                                     (0.1, 205), (0.0146, 1400), (0.0293, 1400)])
+def test_axis_progression_matches_axis_transform(step, n):
+    w = SmoothWeight((0.5, 1.0, 0.25, 2.0))
+    j = np.arange(-n, n + 1)
+    for i in (0, 1):
+        v = w.axis_progression(i, step, n)
+        assert v.shape == (2 * n + 1,)
+        assert np.abs(v - w.axis_transform(i, j * step)).max() <= 1e-16
+        mags = np.abs(v)
+        assert np.array_equal(mags, mags[::-1].copy())
+        assert np.array_equal(v[:n][::-1], v[n + 1:].conj())
+
+
+def test_axis_progression_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    w = SmoothWeight()
+    lo, hi = DEFAULT_BOX[:2]
+
+    def exact(u):
+        def f(x):
+            t = (x - lo) / (hi - lo)
+            return mp.exp(-1 / (t * (1 - t)) - 2j * mp.pi * x * u)
+        with mp.workdps(30):
+            return complex(mp.quad(f, mp.linspace(lo, hi, 9)))
+
+    for u in (0.0, 1.3, 10.7, 20.49):
+        step = u / 10  # j = 10 = 2 * 4 + 2 reaches both factor tables
+        v = w.axis_progression(0, step, 10)
+        want = exact(10 * mp.mpf(step))
+        assert abs(v[20] - want) <= 1e-16
+        assert abs(v[0] - want.conjugate()) <= 1e-16
+
+
 def test_what_factorizes_and_conjugates():
     w = SmoothWeight()
     u, v = 1.3, -0.4

@@ -18,6 +18,8 @@ from ecdensity.density import (
     ZeroFileError,
     ZeroList,
     ZeroListTooShort,
+    _p1_poisson_term,
+    _row_cuts,
     conductor_term,
     density_report,
     direct_term_count,
@@ -198,10 +200,53 @@ def test_poisson_matches_direct(fam_250, fam_1e3):
         assert stats["terms"] > 0
 
 
-def test_poisson_term_count_consistent(fam_250):
+def test_poisson_term_count_consistent(fam_250, fam_1e3):
     stats: dict = {}
     p1_poisson(fam_250, tail_tol=1e-10, stats=stats)
     assert poisson_term_count(fam_250, tail_tol=1e-10) == stats["terms"]
+    for f, want in ((fam_1e3, 225_338), (family(1e4), 3_608_826)):
+        stats = {}
+        p1_poisson(f, stats=stats)
+        assert poisson_term_count(f) == stats["terms"] == want
+
+
+def test_row_cuts_apply_the_exact_product_test():
+    rng = np.random.default_rng(5)
+    absa = np.append(rng.random(300), 0.0)
+    absb = np.repeat(rng.random(50), 2)  # ties, as |vb(-k)| == |vb(k)|
+    for tol in absa[:60] * absb[:60]:    # products on the boundary
+        counts, cut = _row_cuts(absa, absb, tol)
+        mask = absa[:, None] * absb[None, :] >= tol
+        assert np.array_equal(absb[None, :] >= cut[:, None], mask)
+        assert np.array_equal(counts, mask.sum(axis=1))
+
+
+def _dense_dual_term(f, p):
+    """The dual (h, k) block at p by the per-point transform and a dense
+    complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept cells."""
+    wt, tol = f.weight, f.tail_tol
+    hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
+    kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+    h = np.arange(-hmax, hmax + 1)
+    k = np.array([k for k in range(-kmax, kmax + 1) if k % p])
+    va = wt.axis_transform(0, h * (f.a_scale / p))
+    vb = wt.axis_transform(1, k * (f.b_scale / p))
+    mask = np.abs(va)[:, None] * np.abs(vb)[None, :] >= tol
+    kinv2 = np.array([pow(int(x), -2, p) for x in k])
+    h3 = np.array([pow(int(x), 3, p) for x in h])
+    mat = np.exp(-2j * np.pi * (np.outer(h3, kinv2) % p) / p)
+    sym = np.array([_leg(int(x), p) for x in k])
+    return complex(va @ ((mat * mask) @ (sym * vb))), int(mask.sum())
+
+
+@pytest.mark.parametrize("x, p", [(1e5, 3137), (1e9, 79411)])
+def test_poisson_term_matches_dense_contraction(x, p):
+    # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
+    f = family(x)
+    got, n = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
+    want, want_n = _dense_dual_term(f, p)
+    assert n == want_n > 0
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
 
 def test_poisson_tail_tol_monotone(fam_250):
@@ -309,6 +354,11 @@ def test_report_json_round_trip(fam_250):
     assert blob["method"] == rep.method
     assert blob["assembled"] == rep.assembled
     assert blob["rank_bound"] == "27/14"
+    assert rep.method == "direct" and blob["P1_imag_leak"] is None
+    dual = density_report(fam_250, method="poisson")
+    blob = json.loads(report_json(dual))
+    assert isinstance(dual.p1_imag_leak, float)
+    assert blob["P1_imag_leak"] == dual.p1_imag_leak < 1e-9 * abs(dual.p1)
 
 
 # -- dyadic block and its character expansion ------------------------------
