@@ -168,6 +168,14 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(fac.items())))
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, built from its factorization."""
+    divs = [1]
+    for p, e in factorize(n).factors:
+        divs = [d * p**j for d in divs for j in range(e + 1)]
+    return sorted(divs)
+
+
 # ---------------------------------------------------------------------------
 # symbols and inverses
 

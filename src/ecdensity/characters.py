@@ -6,6 +6,14 @@ of (Z/q)^* obtained by CRT over the prime-power parts of q (two generators
 integer phases t/L with L the group exponent, so order, conductor and
 orthogonality checks are integer computations; complex values only appear at
 the final exp(2*pi*i*t/L).
+
+Character values have one evaluator: CharGroup.phases/values, which take a
+stack of exponent vectors and return one row per character over n = 0..q-1
+from a single integer product with the discrete-log table.  character_table
+applies it to every character mod q, and Gauss sums, the large sieve and the
+character expansion all read that table.  char_eval (a scalar integer dlog,
+then cmath.exp) and count_cube_roots (exhaustive) stay as the independent
+oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import Factorization, factorize, is_prime
+from .arith import Factorization, divisors, factorize
 
 
 # ---------------------------------------------------------------------------
@@ -125,53 +133,41 @@ class CharGroup:
                 powers[j] = acc
                 acc = acc * g % q
             vals = (vals[:, None] * powers[None, :] % q).reshape(-1)
-        self.dlog_mat = np.full((max(q, 2), r), -1, dtype=np.int64)
+        self.dlog_mat = np.full((q, r), -1, dtype=np.int64)
         if r:
             digits = np.unravel_index(np.arange(self.phi), self.orders)
             for i in range(r):
                 self.dlog_mat[vals, i] = digits[i]
-        self.unit_mask = np.zeros(max(q, 2), dtype=bool)
-        if q == 1:
-            self.unit_mask[:] = True  # every n is a unit mod 1
-        else:
-            self.unit_mask[vals % q] = True
+        self.unit_mask = np.zeros(q, dtype=bool)
+        self.unit_mask[vals % q] = True  # mod 1, the one residue 0 is a unit
 
     def dlog(self, n: int) -> tuple[int, ...] | None:
-        n %= self.q if self.q > 1 else 1
-        if self.q == 1:
-            return ()
+        n %= self.q
         if not self.unit_mask[n]:
             return None
         return tuple(int(x) for x in self.dlog_mat[n])
 
-    def phase_table(self, e: tuple[int, ...]) -> np.ndarray:
-        """Integer phases t(n) mod L for n = 0..q-1, -1 at non-units."""
-        q = max(self.q, 2)
-        if self.r == 0:
-            t = np.zeros(q, dtype=np.int64)
-            t[~self.unit_mask] = -1
-            return t
-        coeff = np.array([ei * wi for ei, wi in zip(e, self.weights)], dtype=np.int64)
-        t = (self.dlog_mat * coeff[None, :]).sum(axis=1) % self.L
-        t[~self.unit_mask] = -1
+    def phases(self, exps) -> np.ndarray:
+        """Integer phases t[j, n] mod L of the characters with exponent
+        vectors exps[j], for n = 0..q-1; -1 at non-units."""
+        weighted = np.asarray(exps, dtype=np.int64) * np.asarray(self.weights, dtype=np.int64)
+        t = weighted @ self.dlog_mat.T % self.L
+        t[:, ~self.unit_mask] = -1
         return t
 
-    def value_table(self, e: tuple[int, ...]) -> np.ndarray:
-        """chi(n) for n = 0..q-1 as complex128 (0 at non-units)."""
-        t = self.phase_table(e)
+    def values(self, exps) -> np.ndarray:
+        """chi_j(n) = e(t[j, n]/L) as complex128, 0 at non-units; one row per
+        exponent vector in exps, n = 0..q-1."""
+        t = self.phases(exps)
         vals = np.exp(2j * np.pi * np.where(t < 0, 0, t) / self.L)
         vals[t < 0] = 0.0
         return vals
 
 
 @lru_cache(maxsize=64)
-def _group(q: int) -> CharGroup:
-    return CharGroup(q)
-
-
 def char_group(q: int) -> CharGroup:
     """Shared, cached character-group context for modulus q."""
-    return _group(q)
+    return CharGroup(q)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +184,35 @@ class DirichletCharacter:
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    g = _group(q)
+    g = char_group(q)
     return DirichletCharacter(q, (0,) * g.r)
+
+
+def _characters_with_principal_power(q: int, k: int) -> list[DirichletCharacter]:
+    """Characters mod q with chi^k principal (k = 0: all of them), in
+    lexicographic exponent order, so the principal one comes first.  On a
+    component of order m the allowed exponents are the multiples of
+    m / gcd(m, k)."""
+    orders = char_group(q).orders
+    return [DirichletCharacter(q, e)
+            for e in product(*(range(0, m, m // math.gcd(m, k)) for m in orders))]
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q; the principal one comes first."""
-    g = _group(q)
-    return [DirichletCharacter(q, e) for e in product(*(range(m) for m in g.orders))]
+    return _characters_with_principal_power(q, 0)
+
+
+def character_table(q: int) -> tuple[list[DirichletCharacter], np.ndarray]:
+    """The characters mod q in enumerate_characters order and their values,
+    V[j, n] = chi_j(n) for n = 0..q-1, from one batched evaluation."""
+    chars = enumerate_characters(q)
+    return chars, char_group(q).values([chi.e for chi in chars])
 
 
 def char_eval(chi: DirichletCharacter, n: int) -> complex:
     """chi(n); 0 when gcd(n, q) > 1."""
-    g = _group(chi.q)
+    g = char_group(chi.q)
     v = g.dlog(n)
     if v is None:
         return 0.0 + 0.0j
@@ -213,17 +225,17 @@ def char_eval(chi: DirichletCharacter, n: int) -> complex:
 def char_mul(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
     if a.q != b.q:
         raise ValueError("character product needs a common modulus")
-    g = _group(a.q)
+    g = char_group(a.q)
     return DirichletCharacter(a.q, tuple((x + y) % m for x, y, m in zip(a.e, b.e, g.orders)))
 
 
 def char_conj(chi: DirichletCharacter) -> DirichletCharacter:
-    g = _group(chi.q)
+    g = char_group(chi.q)
     return DirichletCharacter(chi.q, tuple((-x) % m for x, m in zip(chi.e, g.orders)))
 
 
 def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
-    g = _group(chi.q)
+    g = char_group(chi.q)
     return DirichletCharacter(chi.q, tuple((x * k) % m for x, m in zip(chi.e, g.orders)))
 
 
@@ -237,26 +249,14 @@ def char_order_and_conductor(chi: DirichletCharacter) -> tuple[int, int]:
     The conductor is found as the least divisor f of q such that chi is
     constant (= 1) on units congruent to 1 mod f, checked with integer phases.
     """
-    g = _group(chi.q)
+    g = char_group(chi.q)
     order = 1
     for ei, m in zip(chi.e, g.orders):
         order = math.lcm(order, m // math.gcd(m, ei))
     q = chi.q
-    if q == 1:
-        return 1, 1
-    t = g.phase_table(chi.e)
-    divisors = sorted(
-        d for d in range(1, q + 1) if q % d == 0
-    )
-    for f in divisors:
-        ok = True
-        for n in range(1 % q, q, f) if f < q else [1 % q]:
-            if n % f == 1 % f and t[n] > 0:
-                ok = False
-                break
-        if ok:
-            return order, f
-    return order, q  # unreachable: f = q always passes
+    t = g.phases([chi.e])[0]
+    # n = 1, 1 + f, ... < q are the residues = 1 mod f; f = q always passes
+    return order, next(f for f in divisors(q) if not (t[1:q:f] > 0).any())
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -269,12 +269,7 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 
 def real_characters(q: int) -> list[DirichletCharacter]:
     """Characters with chi^2 principal (order 1 or 2)."""
-    g = _group(q)
-    choices = []
-    for m in g.orders:
-        opts = [0] if m % 2 else [0, m // 2]
-        choices.append(opts)
-    return [DirichletCharacter(q, e) for e in product(*choices)]
+    return _characters_with_principal_power(q, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +278,17 @@ def real_characters(q: int) -> list[DirichletCharacter]:
 
 def gauss_sum(chi: DirichletCharacter, a: int = 1) -> complex:
     """tau_a(chi) = sum over b mod q of chi(b) e(ab/q), at the modulus q."""
-    g = _group(chi.q)
     q = chi.q
-    if q == 1:
-        return 1.0 + 0.0j
-    vals = g.value_table(chi.e)
+    vals = char_group(q).values([chi.e])[0]
     n = np.arange(q)
-    return complex(np.sum(vals[:q] * np.exp(2j * np.pi * (a % q) * n / q)))
+    return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * n / q)))
+
+
+def unit_twist(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units, E): the units a mod q ascending (a = 0 when q = 1) and
+    E[n, i] = e(n units[i] / q) for n = 0..q-1, so V @ E holds tau_a."""
+    units = np.flatnonzero(char_group(q).unit_mask)
+    return units, np.exp(2j * np.pi * np.outer(np.arange(q), units) / q)
 
 
 def gauss_sum_matrix(q: int) -> tuple[list[DirichletCharacter], np.ndarray, np.ndarray]:
@@ -297,12 +296,8 @@ def gauss_sum_matrix(q: int) -> tuple[list[DirichletCharacter], np.ndarray, np.n
 
     Returns (characters, units, T) with T[j, i] = tau_{units[i]}(chi_j).
     """
-    g = _group(q)
-    chars = enumerate_characters(q)
-    V = np.vstack([g.value_table(c.e)[:q] for c in chars]) if q > 1 else np.ones((1, 1), dtype=complex)
-    units = np.flatnonzero(g.unit_mask[:q]) if q > 1 else np.array([0])
-    n = np.arange(max(q, 1))
-    E = np.exp(2j * np.pi * np.outer(n, units) / max(q, 1))
+    chars, V = character_table(q)
+    units, E = unit_twist(q)
     return chars, units, V @ E
 
 
@@ -321,18 +316,12 @@ def quadratic_gauss_bound_check(l: int, a: int, k: int) -> tuple[float, float]:
 
 def count_cube_roots(q: int, chi1: DirichletCharacter) -> int:
     """#{chi mod q : conj(chi)^3 = chi1}, by exhaustive enumeration."""
-    g = _group(q)
-    target = chi1.e
-    count = 0
-    for e in product(*(range(m) for m in g.orders)):
-        if all((-3 * x) % m == t for x, t, m in zip(e, target, g.orders)):
-            count += 1
-    return count
+    return sum(char_power(char_conj(chi), 3) == chi1 for chi in enumerate_characters(q))
 
 
 def count_cube_roots_structural(q: int, chi1: DirichletCharacter) -> int:
     """Same count via the per-component congruence -3x = e1 (mod m)."""
-    g = _group(q)
+    g = char_group(q)
     total = 1
     for t, m in zip(chi1.e, g.orders):
         d = math.gcd(3, m)
@@ -355,18 +344,7 @@ def _odd_component_cubic_conductor(p: int, k: int) -> int:
 
 def cubic_characters(q: int) -> list[DirichletCharacter]:
     """All characters of exact order 3 mod q."""
-    g = _group(q)
-    choices = []
-    for m in g.orders:
-        if m % 3 == 0:
-            choices.append([0, m // 3, 2 * m // 3])
-        else:
-            choices.append([0])
-    out = []
-    for e in product(*choices):
-        if any(e):
-            out.append(DirichletCharacter(q, e))
-    return out
+    return _characters_with_principal_power(q, 3)[1:]  # the principal character comes first
 
 
 @dataclass(frozen=True)
@@ -403,23 +381,15 @@ def cubic_structure_report(limit: int) -> list[CubicStructureRow]:
     rows = []
     for q in range(1, limit + 1):
         fac = factorize(q)
-        n_cubic = 0
-        n_prim = 0
         comps = []
         for p, k in fac.factors:
             pk = p**k
-            if p == 2:
-                m = 1 if k == 1 else (2 if k == 2 else 2 ** (k - 2))
-                # cubic exponents need 3 | m; powers of 2 never provide them
-                comps.append((pk, 1, 0))
+            # cubic exponents need 3 | phi(p^k), which no power of 2 provides
+            if (pk - pk // p) % 3 == 0:
+                comps.append((pk, 3, _odd_component_cubic_conductor(p, k)))
             else:
-                m = pk - pk // p
-                if m % 3 == 0:
-                    comps.append((pk, 3, _odd_component_cubic_conductor(p, k)))
-                else:
-                    comps.append((pk, 1, 0))
-        n_sol = math.prod(c[1] for c in comps) if comps else 1
-        n_cubic = n_sol - 1
+                comps.append((pk, 1, 0))
+        n_cubic = math.prod(c[1] for c in comps) - 1
         # a cubic char is primitive iff every component is nonprincipal with
         # full local conductor; count = prod over components of (#nonprincipal
         # cubic exponents with conductor pk), i.e. 2 per qualifying component
@@ -427,8 +397,6 @@ def cubic_structure_report(limit: int) -> list[CubicStructureRow]:
         for pk, nloc, cond in comps:
             prim_per_comp.append(2 if (nloc == 3 and cond == pk) else 0)
         n_prim = math.prod(prim_per_comp) if comps else 0
-        if q == 1:
-            n_prim = 0
         expected = 2 ** len(comps) if _cubic_shape_admissible(fac) else 0
         rows.append(CubicStructureRow(q, n_cubic, n_prim, n_prim == expected))
     return rows

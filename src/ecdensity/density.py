@@ -38,14 +38,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
-from .arith import cube_kernel, legendre, psi4, sieve_primes
-from .characters import (
-    DirichletCharacter,
-    char_eval,
-    char_group,
-    enumerate_characters,
-    gauss_sum,
-)
+from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
+from .characters import DirichletCharacter, char_eval, character_table
 from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     get_table,
@@ -617,22 +611,17 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
     rhs = 0.0 + 0.0j
     for k in _dyadic_ints(k_size, 2 * k_size):
         k2 = int(k * k)
-        for d in range(1, k2 + 1):
-            if k2 % d != 0:
-                continue
+        for d in divisors(k2):
             q = k2 // d
-            grp = char_group(q)
             d0 = cube_kernel(d)
-            ratio = d0**3 // d
-            for chi in enumerate_characters(q):
-                factor = char_eval(chi, ratio).conjugate()
-                if factor == 0.0:
-                    continue
-                tau = gauss_sum(chi)
-                if abs(tau) < 1e-15:
+            chars, table = character_table(q)
+            taus = table @ np.exp(2j * np.pi * np.arange(q) / q)
+            factors = table[:, d0**3 // d % q].conj()
+            for chi, tau, factor in zip(chars, taus, factors):
+                if factor == 0.0 or abs(tau) < 1e-15:
                     continue
                 qv = q_dk_chi(d, int(k), chi, h_size, k_size, p_size, f, g)
-                rhs += tau * factor * qv / grp.phi
+                rhs += tau * factor * qv / len(chars)
     scale = max(abs(lhs), 1e-300)
     return ExpansionCheck(complex(lhs), complex(rhs), abs(lhs - rhs) / scale)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,7 +222,8 @@ def get_table(p: int, directory: str | Path | None = None) -> FrobTable:
     With no directory the table is computed and no file is touched.  With
     one, a valid entry is loaded; a missing, corrupt or older-format entry
     is recomputed and, when the directory exists, overwritten with the
-    fresh table.
+    fresh table.  A corrupt or older-format entry first emits a
+    RuntimeWarning that names the file and what is wrong with it.
     """
     if directory is None:
         return lambda_table(p)
@@ -229,8 +231,8 @@ def get_table(p: int, directory: str | Path | None = None) -> FrobTable:
     if path.exists():
         try:
             return load_table(path)
-        except TableFormatError:
-            pass
+        except TableFormatError as exc:
+            warnings.warn(f"recomputing table cache entry: {exc}", RuntimeWarning, stacklevel=2)
     tab = lambda_table(p)
     if path.parent.is_dir():
         save_table(tab, path)

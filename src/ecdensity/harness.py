@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import factorize, legendre, sieve_primes, smallest_factor_table
-from .characters import char_group, enumerate_characters
+from .arith import divisors, factorize, legendre, sieve_primes, smallest_factor_table
+from .characters import character_table, enumerate_characters
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ class WellSpacedSet:
 # single-modulus character large sieve (constant 1)
 
 
-def _char_matrix(q: int) -> np.ndarray:
-    grp = char_group(q)
-    return np.stack([grp.value_table(chi.e) for chi in enumerate_characters(q)])
-
-
 def large_sieve_check(q: int, m: int, n: int, a) -> tuple[float, float, bool]:
     """sum_chi |sum_{M <= j < M+N} a_j chi(j)|^2 against (q+N) sum |a_j|^2."""
     if q < 1 or n < 1:
@@ -118,7 +113,7 @@ def large_sieve_check(q: int, m: int, n: int, a) -> tuple[float, float, bool]:
     if a.shape != (n,):
         raise ValueError(f"need {n} coefficients, got shape {a.shape}")
     idx = np.arange(m, m + n) % q
-    sums = _char_matrix(q)[:, idx] @ a
+    sums = character_table(q)[1][:, idx] @ a
     lhs = float((np.abs(sums) ** 2).sum())
     rhs = (q + n) * float((np.abs(a) ** 2).sum())
     return lhs, rhs, lhs <= rhs * (1 + 1e-12)
@@ -161,20 +156,13 @@ def heathbrown_ratio(p_size: int, n: int, a) -> float | None:
     denom = 0.0
     mags = np.abs(a)
     for q in range(1, n + 1):
-        for n1 in _divisors(q * q):
+        for n1 in divisors(q * q):
             n2 = q * q // n1
             if n1 <= n and n2 <= n:
                 denom += mags[n1 - 1] * mags[n2 - 1]
     if denom == 0.0:
         return None
     return lhs / ((p_size + n) * denom)
-
-
-def _divisors(m: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(m).factors:
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return divs
 
 
 def heathbrown_suite(sizes=((50, 50), (100, 100), (200, 200), (400, 400)),
@@ -327,17 +315,15 @@ def dirichlet_meanvalue_check(q: int, a, sets, sigma: float,
     n_len = a.size
     if n_len < 1:
         raise ValueError("empty coefficient vector")
-    chars = enumerate_characters(q)
+    chars, table = character_table(q)
     if len(sets) != len(chars):
         raise ValueError(f"need one point set per character ({len(chars)})")
-    grp = char_group(q)
     ns = np.arange(1, n_len + 1)
     logn = np.log(ns.astype(float))
     lhs = 0.0
-    for chi, rhos in zip(chars, sets):
+    for vals, rhos in zip(table[:, ns % q], sets):
         pts = [complex(r) for r in rhos]
         WellSpacedSet(tuple(pts), 1.0, sigma, t_max)
-        vals = grp.value_table(chi.e)[ns % q]
         base = vals * a
         for rho in pts:
             lhs += abs(np.sum(base * np.exp(-rho * logn))) ** 2

@@ -8,6 +8,7 @@ from ecdensity.arith import (
     DTriple,
     cube_kernel,
     d_triple,
+    divisors,
     factorize,
     is_prime,
     jacobi,
@@ -76,6 +77,11 @@ def test_factorize_round_trip(rng):
             prod *= p**e
         assert prod == n
         assert list(f.factors) == sorted(f.factors)
+
+
+def test_divisors_match_a_scan():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_factorize_semiprime_rho_path():

@@ -15,6 +15,7 @@ from ecdensity.characters import (
     char_mul,
     char_order_and_conductor,
     char_power,
+    character_table,
     conductor,
     count_cube_roots,
     count_cube_roots_structural,
@@ -65,6 +66,28 @@ def test_character_count_and_homomorphism(rng):
                 for n in range(q):
                     if gcd(n, q) != 1:
                         assert char_eval(chi, n) == 0
+
+
+def test_batched_values_match_char_eval():
+    for q in SMALL_Q + [300]:
+        chars, table = character_table(q)
+        assert chars == enumerate_characters(q)
+        assert table.shape == (len(chars), q)
+        for chi, row in zip(chars, table):
+            for n in range(q):
+                if gcd(n, q) != 1:
+                    assert row[n] == 0
+                assert abs(row[n] - char_eval(chi, n)) <= 1e-12
+
+
+def test_real_and_cubic_characters_filter_the_enumeration():
+    for q in range(1, 200):
+        chars = enumerate_characters(q)
+        assert real_characters(q) == [
+            chi for chi in chars if is_principal(char_power(chi, 2))]
+        assert cubic_characters(q) == [
+            chi for chi in chars
+            if is_principal(char_power(chi, 3)) and not is_principal(chi)]
 
 
 def test_character_periodicity_and_unit_modulus(rng):
@@ -175,6 +198,16 @@ def test_gauss_sum_twisted_relation(rng):
             lhs = gauss_sum(chi, a)
             rhs = char_eval(chi, a).conjugate() * gauss_sum(chi)
             assert abs(lhs - rhs) < 1e-9
+
+
+def test_gauss_sum_matches_brute_sum():
+    # independent of the shared value table: scalar char_eval and cmath.exp
+    for q in (1, 2, 7, 12, 16, 21, 36):
+        for chi in enumerate_characters(q):
+            for a in range(q + 2):
+                brute = sum(char_eval(chi, b) * cmath.exp(2j * math.pi * a * b / q)
+                            for b in range(q))
+                assert abs(gauss_sum(chi, a) - brute) < 1e-9
 
 
 def test_gauss_sum_matrix_matches_scalar():

@@ -1,10 +1,14 @@
-"""The demos import only names that exist; they are not run here."""
+"""The demos import only names that exist; the quick character demo also runs."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demo_imports_resolve():
@@ -17,3 +21,12 @@ def test_demo_imports_resolve():
                 missing += [f"{path.name}: {node.module}.{a.name}"
                             for a in node.names if not hasattr(mod, a.name)]
     assert not missing, missing
+
+
+def test_character_demo_runs():
+    # the slower demos stay import-checked only
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / "04_characters.py")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()

@@ -1,7 +1,9 @@
 """Trace tables: values, identities, serialization, cache behavior."""
 
 import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -154,17 +156,22 @@ def test_get_table_uses_cache(tmp_path):
     p = 13
     path = table_path(p, tmp_path)
     assert not path.exists()
-    t1 = get_table(p, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a missing entry is filled silently
+        t1 = get_table(p, tmp_path)
     assert path.exists()
     flipped = bytearray(path.read_bytes())
     flipped[-1] ^= 0xFF
     # poison the in-file copy; a fresh load must detect it, recompute,
-    # return correct values and replace the entry with a loadable one
-    for poisoned in (bytes(flipped), _v1_file(t1)):
+    # return correct values and replace the entry with a loadable one,
+    # warning with the path and the reason
+    for poisoned, reason in ((bytes(flipped), "checksum mismatch"),
+                             (_v1_file(t1), "unsupported version 1")):
         path.write_bytes(poisoned)
         with pytest.raises(TableFormatError):
             load_table(path)
-        t2 = get_table(p, tmp_path)
+        with pytest.warns(RuntimeWarning, match=re.escape(f"{path}: {reason}")):
+            t2 = get_table(p, tmp_path)
         assert np.array_equal(t1.table, t2.table)
         assert np.array_equal(t1.table, lambda_table(p).table)
         assert np.array_equal(load_table(path).table, lambda_table(p).table)
