@@ -288,7 +288,8 @@ def unit_twist(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, E): the units a mod q ascending (a = 0 when q = 1) and
     E[n, i] = e(n units[i] / q) for n = 0..q-1, so V @ E holds tau_a."""
     units = np.flatnonzero(char_group(q).unit_mask)
-    return units, np.exp(2j * np.pi * np.outer(np.arange(q), units) / q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    return units, roots[np.outer(np.arange(q), units) % q]
 
 
 def gauss_sum_matrix(q: int) -> tuple[list[DirichletCharacter], np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ecdensity.density import (
+    DEFAULT_TAIL_TOL,
     CrosscheckReport,
     DensityReport,
     ZeroFileError,
@@ -208,16 +209,20 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
         stats = {}
         p1_poisson(f, stats=stats)
         assert poisson_term_count(f) == stats["terms"] == want
+        assert stats["cells"] >= stats["terms"]
 
 
 def test_row_cuts_apply_the_exact_product_test():
     rng = np.random.default_rng(5)
     absa = np.append(rng.random(300), 0.0)
     absb = np.repeat(rng.random(50), 2)  # ties, as |vb(-k)| == |vb(k)|
+    cols = np.argsort(-absb, kind="stable")
     for tol in absa[:60] * absb[:60]:    # products on the boundary
-        counts, cut = _row_cuts(absa, absb, tol)
+        counts = _row_cuts(absa, absb, tol)
         mask = absa[:, None] * absb[None, :] >= tol
-        assert np.array_equal(absb[None, :] >= cut[:, None], mask)
+        # each row keeps exactly the first counts[h] columns by descending |vb|
+        prefix = np.arange(absb.size)[None, :] < counts[:, None]
+        assert np.array_equal(prefix, mask[:, cols])
         assert np.array_equal(counts, mask.sum(axis=1))
 
 
@@ -239,13 +244,20 @@ def _dense_dual_term(f, p):
     return complex(va @ ((mat * mask) @ (sym * vb))), int(mask.sum())
 
 
-@pytest.mark.parametrize("x, p", [(1e5, 3137), (1e9, 79411)])
-def test_poisson_term_matches_dense_contraction(x, p):
+@pytest.mark.parametrize("x, p, tail_tol", [
+    # the h window reaches 2p, so rows with h^3 = 0 mod p are present
+    pytest.param(1e3, 7, DEFAULT_TAIL_TOL, id="1000.0-7"),
+    # tight tolerance: the widest window, about 1e6 kept cells
+    pytest.param(1e4, 613, 1e-14, id="10000.0-613-1e-14"),
+    pytest.param(1e5, 3137, DEFAULT_TAIL_TOL, id="100000.0-3137"),
+    pytest.param(1e9, 79411, DEFAULT_TAIL_TOL, id="1000000000.0-79411"),
+])
+def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
-    f = family(x)
-    got, n = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
+    f = family(x, tail_tol=tail_tol)
+    got, n, cells = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
     want, want_n = _dense_dual_term(f, p)
-    assert n == want_n > 0
+    assert cells >= n == want_n > 0
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
 
@@ -359,6 +371,9 @@ def test_report_json_round_trip(fam_250):
     blob = json.loads(report_json(dual))
     assert isinstance(dual.p1_imag_leak, float)
     assert blob["P1_imag_leak"] == dual.p1_imag_leak < 1e-9 * abs(dual.p1)
+    assert "p1_cells" not in rep.term_counts
+    counts = blob["term_counts"]
+    assert counts == dual.term_counts and counts["p1_cells"] >= counts["p1_terms"] > 0
 
 
 # -- dyadic block and its character expansion ------------------------------
