@@ -23,6 +23,7 @@ from .density import (
     DEFAULT_TAIL_TOL,
     ZeroFileError,
     ZeroListTooShort,
+    check_lattice,
     density_report,
     explicit_formula_crosscheck,
     family,
@@ -205,6 +206,17 @@ def _spec_for(cfg: RunConfig, x: float):
     return family(x, cfg.nu, cfg.box, table_cap=cfg.table_cap,
                   tail_tol=cfg.tail_tol, threads=cfg.threads,
                   cache_dir=cfg.cache_dir)
+
+
+def _check_lattices(cfg: RunConfig) -> None:
+    """Reject, before any work, a box that is empty on an axis or holds a
+    singular curve at some X of the sweep."""
+    for x in cfg.x:
+        f = _spec_for(cfg, x)
+        try:
+            check_lattice(f)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +409,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.command == "density":
+            _check_lattices(cfg)
     except ConfigError as exc:
         _diag(f"config error: {exc}")
         return 2

@@ -5,6 +5,15 @@ conductor exponent read off the minimal short model exactly; at p = 2, 3 the
 exponents are capped valuation heuristics (min(v2, 8), min(v3, 5)) carried
 with an exact=False flag and a sensitivity band [drop 2 and 3 entirely, apply
 the caps], since short models cannot decide those places.
+
+conductor_log_batch evaluates the same heuristic over a product grid of a
+and b values.  Its odd part is a residue sieve rather than trial division of
+every curve: for a prime p >= 5, p | 4a^3 + 27b^2 exactly when
+-4a^3 = 27b^2 (mod p), so joining the a-axis keys -4a^3 mod p against the
+sorted b-axis keys 27b^2 mod p lists the cells p divides.  That is
+O(na + nb) key work plus O(hits) per prime instead of O(na * nb); on
+family(1e7) the 2,020 primes 5 <= p <= sqrt(max |disc|/16) hit 290,377 of
+170,748 * 2,020 = 3.4e8 (curve, p) cells.
 """
 
 from __future__ import annotations
@@ -114,23 +123,30 @@ def conductor(a: int, b: int) -> ConductorInfo:
     )
 
 
-def conductor_log_batch(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log n, log n_lo, log n_hi) for arrays of curves, vectorized.
+def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log n, log n_lo, log n_hi) over the grid na x nb of curves, vectorized.
 
-    Same heuristic as conductor(); factorization of the minimal |disc|/16
-    values runs by trial division over a shared prime list, with the single
-    possible leftover factor > sqrt(max) necessarily prime.
+    Same heuristic as conductor().  The arrays are flat in a-major order
+    (cell i * nb.size + j is the curve (na[i], nb[j])).  The odd part of the
+    minimal |disc|/16 is sieved one prime p >= 5 at a time on the two axes:
+    p | 4a^3 + 27b^2 exactly when -4a^3 = 27b^2 (mod p), so joining the sorted
+    keys 27b^2 mod p against the keys -4a^3 mod p yields the cells p divides
+    in O(na + nb) key work plus O(hits), not O(na * nb) trial divisions.  The
+    single possible leftover factor > sqrt(max) is necessarily prime.
     """
-    a = np.asarray(av, dtype=np.int64).copy()
-    b = np.asarray(bv, dtype=np.int64).copy()
-    if a.shape != b.shape:
-        raise ValueError("curve arrays must have matching shapes")
+    na = np.asarray(na, dtype=np.int64)
+    nb = np.asarray(nb, dtype=np.int64)
+    if na.ndim != 1 or nb.ndim != 1:
+        raise ValueError("curve axes must be 1-D")
+    a = np.repeat(na, nb.size)
+    b = np.tile(nb, na.size)
     core = 4 * a**3 + 27 * b**2
     if np.any(core == 0):
         raise ValueError("singular curve in batch")
-    # remove u^4 | a, u^6 | b (only primes with p^4 <= max|a| can occur)
-    amax = int(np.abs(a).max()) if a.size else 0
-    for p in sieve_primes(max(int(amax ** 0.25) + 1, 2)):
+    # remove u^4 | a, u^6 | b: p^4 <= |a| when a != 0, p^6 <= |b| when a = 0
+    amax = int(np.abs(na).max()) if na.size else 0
+    b0max = int(np.abs(nb).max()) if np.any(na == 0) and nb.size else 0
+    for p in sieve_primes(max(int(amax ** 0.25) + 1, int(b0max ** (1 / 6)) + 1, 2)):
         p4, p6 = p**4, p**6
         while True:
             m = (a % p4 == 0) & (b % p6 == 0) & (a != 0)
@@ -160,19 +176,34 @@ def conductor_log_batch(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.
         rem[m] //= 3
     dmax = int(rem.max()) if rem.size else 0
     c4 = -48 * a
+    rows = np.arange(na.size, dtype=np.int64) * nb.size
+    a_side, b_side = -4 * na**3, 27 * nb**2
     for p in sieve_primes(math.isqrt(max(dmax, 1))):
         if p < 5:
             continue
-        m = rem % p == 0
-        if not m.any():
+        ka, kb = a_side % p, b_side % p
+        order = kb.argsort()
+        kb = kb[order]
+        lo = kb.searchsorted(ka, side="left")
+        cnt = kb.searchsorted(ka, side="right") - lo
+        total = int(cnt.sum())
+        if total == 0:
             continue
-        fp = np.where(c4[m] % p != 0, 1, 2)
-        log_odd[m] += fp * math.log(p)
+        # flat cells of the original grid that p divides; minimization divides
+        # disc by u^12, so keep those p still divides
+        start = np.cumsum(cnt) - cnt
+        pos = np.arange(total) - np.repeat(start - lo, cnt)
+        idx = np.repeat(rows, cnt) + order[pos]
+        idx = idx[rem[idx] % p == 0]
+        fp = np.where(c4[idx] % p != 0, 1, 2)
+        log_odd[idx] += fp * math.log(p)
+        r = rem[idx]
         while True:
-            mm = rem % p == 0
-            if not mm.any():
+            m = r % p == 0
+            if not m.any():
                 break
-            rem[mm] //= p
+            r[m] //= p
+        rem[idx] = r
     big = rem > 1  # leftover prime factor, valuation 1 in disc
     if big.any():
         fp = np.where(c4[big] % rem[big] != 0, 1, 2)

@@ -131,6 +131,22 @@ def _axis_lattice(f: FamilySpec, i: int) -> tuple[np.ndarray, np.ndarray]:
     return ns, f.weight.axis_weight(i, ns / scale)
 
 
+def check_lattice(f: FamilySpec) -> None:
+    """Raise ValueError naming the axis of the weight box with no lattice
+    point, or the first singular curve in the box; 4a^3 + 27b^2 = 0 exactly
+    at (a, b) = (-3t^2, 2t^3)."""
+    na, _ = _axis_lattice(f, 0)
+    nb, _ = _axis_lattice(f, 1)
+    a0, a1, b0, b1 = int(na[0]), int(na[-1]), int(nb[0]), int(nb[-1])
+    for t in range(math.isqrt(max(-a0, 0) // 3) + 1):
+        for s in (-t, t):
+            a, b = -3 * t * t, 2 * s**3
+            if a0 <= a <= a1 and b0 <= b <= b1:
+                raise ValueError(
+                    f"weight box holds the singular curve (a, b) = ({a}, {b}) at X={f.x:g}"
+                )
+
+
 def w_total(f: FamilySpec) -> float:
     """W = sum over integer (a, b) of w(a/A, b/B); errors on empty support."""
     _, wa = _axis_lattice(f, 0)
@@ -363,10 +379,8 @@ def conductor_term(f: FamilySpec) -> tuple[float, float, float]:
     at the heuristic conductor and at both ends of its sensitivity band."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    av = np.repeat(na, nb.size)
-    bv = np.tile(nb, na.size)
-    wv = np.repeat(wa, nb.size) * np.tile(wb, na.size)
-    log_n, log_lo, log_hi = conductor_log_batch(av, bv)
+    wv = np.outer(wa, wb).ravel()
+    log_n, log_lo, log_hi = conductor_log_batch(na, nb)
     w = float(wv.sum())
     lx = f.log_x
     return (

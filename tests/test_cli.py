@@ -113,6 +113,22 @@ def test_density_bad_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_density_singular_box_exit_2(capsys):
+    # the box holds (-12, 16) = (-3t^2, 2t^3) at t = 2; rejected before P1 runs
+    assert main(["density", "--x", "1000", "--box", "-2", "1", "0.5", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "singular curve (a, b) = (-12, 16)" in err[0]
+
+
+def test_density_box_without_lattice_points_exit_2(capsys):
+    # b in (0.5, 0.51) * 10 holds no integer
+    assert main(["density", "--x", "100", "--box", "0.5", "1", "0.5", "0.51"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "axis 1 contains no lattice points" in err[0]
+
+
 def test_density_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("x = 1e9\nmethod = direct\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ecdensity.arith import factorize
 from ecdensity.curves import (
     ConductorInfo,
     CurveParams,
@@ -98,25 +99,75 @@ def test_conductor_scaling_invariance():
     assert scaled.u == 5
 
 
+def _assert_grid_matches_scalar(na, nb):
+    ln, lo, hi = conductor_log_batch(np.array(na, dtype=np.int64),
+                                     np.array(nb, dtype=np.int64))
+    assert ln.shape == lo.shape == hi.shape == (len(na) * len(nb),)
+    for i, a in enumerate(na):
+        for j, b in enumerate(nb):
+            k = i * len(nb) + j  # a-major flat order
+            info = conductor(a, b)
+            assert abs(ln[k] - math.log(info.n)) < 1e-9
+            assert abs(lo[k] - math.log(info.n_lo)) < 1e-9
+            assert abs(hi[k] - math.log(info.n_hi)) < 1e-9
+
+
+def _nonsingular_b(na, bs):
+    return [b for b in bs if all(4 * a**3 + 27 * b**2 != 0 for a in na)]
+
+
 def test_batch_matches_scalar(rng):
-    pairs = []
-    while len(pairs) < 60:
-        a = rng.randrange(-50, 50)
-        b = rng.randrange(1, 50)
-        if 4 * a**3 + 27 * b**2 != 0:
-            pairs.append((a, b))
-    av = np.array([p[0] for p in pairs], dtype=np.int64)
-    bv = np.array([p[1] for p in pairs], dtype=np.int64)
-    ln, lo, hi = conductor_log_batch(av, bv)
-    for i, (a, b) in enumerate(pairs):
-        info = conductor(a, b)
-        assert abs(ln[i] - math.log(info.n)) < 1e-9
-        assert abs(lo[i] - math.log(info.n_lo)) < 1e-9
-        assert abs(hi[i] - math.log(info.n_hi)) < 1e-9
+    # random axis grids: negative a, a = 0 and b = 0, singular cells excluded
+    for trial in range(12):
+        na = rng.sample(range(-60, 60), 7)
+        nb = rng.sample(range(-60, 60), 7)
+        if trial % 3 == 0:
+            na[0] = 0
+        elif trial % 3 == 1:
+            nb[0] = 0
+        nb = _nonsingular_b(na, nb)
+        assert any(a < 0 for a in na) and nb
+        _assert_grid_matches_scalar(na, nb)
+
+
+def test_batch_minimizes_at_primes_from_five():
+    # every cell scaled by u = 11: 11 divides the input disc, not the minimal one
+    _assert_grid_matches_scalar([11**4, -(11**4)], [2 * 11**6, 11**6, -(11**6)])
+    # u = 5 beside cells that stay unminimized (5^5 | b only) and so keep 5
+    _assert_grid_matches_scalar([2 * 5**4, -(5**4), 3 * 5**4],
+                                [3 * 5**6, -(5**6), 5**5, 2 * 5**6])
+
+
+def test_batch_minimizes_a_zero_by_sixth_powers_of_b():
+    # with a = 0 no fourth power of a bounds u; the sixth powers in b do
+    assert conductor(0, 5**6).u == 5 and conductor(0, 2 * 7**6).u == 7
+    _assert_grid_matches_scalar([0], [5**6, 2 * 7**6])
+
+
+def test_batch_leftover_primes_on_both_sides_of_sqrt(rng):
+    na = rng.sample(range(-400, 400), 10)
+    nb = _nonsingular_b(na, rng.sample(range(-400, 400), 10))
+    # largest odd prime p >= 5 of each minimal |disc|/16, against the sieve
+    # bound sqrt(max) of the 2- and 3-free parts
+    tops, rems = [], []
+    for a in na:
+        for b in nb:
+            a1, b1, _ = minimal_short_model(a, b)
+            d = abs(4 * a1**3 + 27 * b1**2)
+            while d % 2 == 0:
+                d //= 2
+            while d % 3 == 0:
+                d //= 3
+            rems.append(d)
+            tops.append(max((p for p, _ in factorize(d).factors), default=1))
+    root = math.isqrt(max(rems))
+    assert any(root // 4 < p <= root for p in tops)  # found by the sieve
+    assert any(p > root for p in tops)               # left over, prime
+    _assert_grid_matches_scalar(na, nb)
 
 
 def test_batch_rejects_singular_and_shape_mismatch():
     with pytest.raises(ValueError):
         conductor_log_batch(np.array([-3]), np.array([2]))
     with pytest.raises(ValueError):
-        conductor_log_batch(np.array([1, 2]), np.array([1]))
+        conductor_log_batch(np.array([[1, 2]]), np.array([1]))

@@ -21,6 +21,7 @@ from ecdensity.density import (
     ZeroListTooShort,
     _p1_poisson_term,
     _row_cuts,
+    check_lattice,
     conductor_term,
     density_report,
     direct_term_count,
@@ -274,6 +275,23 @@ def test_conductor_term_banded(fam_1e3):
     c, lo, hi = conductor_term(fam_1e3)
     assert lo <= c <= hi
     assert 0 < lo and hi < 4
+
+
+def test_check_lattice_finds_every_singular_curve():
+    for box in [(-2, 1, 0.5, 1), (-2, 1, -1, -0.5), (-1, 1, -1, 1), (0.5, 1, 0.5, 1),
+                (-3, -1, 0.1, 0.4), (-0.5, 0.5, 0.2, 0.9)]:
+        f = family(1e3, box=box)
+        a0, a1 = math.floor(box[0] * f.a_scale) + 1, math.ceil(box[1] * f.a_scale) - 1
+        b0, b1 = math.floor(box[2] * f.b_scale) + 1, math.ceil(box[3] * f.b_scale) - 1
+        singular = [(a, b) for a in range(a0, a1 + 1) for b in range(b0, b1 + 1)
+                    if 4 * a**3 + 27 * b**2 == 0]
+        if singular:
+            with pytest.raises(ValueError, match="singular curve"):
+                check_lattice(f)
+        else:
+            check_lattice(f)
+    with pytest.raises(ValueError, match="axis 0"):
+        check_lattice(family(8.0, box=(0.5, 0.51, 0.5, 1)))
 
 
 def test_conductor_term_matches_scalar_route(fam_250):
