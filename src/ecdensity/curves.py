@@ -178,9 +178,16 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
     c4 = -48 * a
     rows = np.arange(na.size, dtype=np.int64) * nb.size
     a_side, b_side = -4 * na**3, 27 * nb**2
+    check = 1024
     for p in sieve_primes(math.isqrt(max(dmax, 1))):
         if p < 5:
             continue
+        if p > check:
+            # every prime below p is divided out, so once p^2 > max(rem) each
+            # cell still above 1 is a prime, left to the leftover rule below
+            check *= 2
+            if p * p > int(rem.max()):
+                break
         ka, kb = a_side % p, b_side % p
         order = kb.argsort()
         kb = kb[order]

@@ -47,9 +47,9 @@ from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     get_table,
     inverse_table,
-    lambda_block,
     lambda_p,
     lambda_p2,
+    lambda_rows,
     legendre_table,
 )
 
@@ -196,14 +196,15 @@ def _p1_term_direct(f: FamilySpec, p: int,
         sb = _residue_weights(nb, wb, p)
         inner = float(sa @ tab.table.astype(np.float64) @ sb)
     else:
-        # stream one a-residue row at a time; lattice residues only
+        # no full table: only the lattice residues' rows, summed row by row
         sb = _residue_weights(nb, wb, p)
         bres = np.flatnonzero(sb)
-        inner = 0.0
         sa = _residue_weights(na, wa, p)
-        for alpha in np.flatnonzero(sa):
-            lam = lambda_block(int(alpha), p, bres)
-            inner += float(sa[alpha]) * float((sb[bres] * lam).sum())
+        ares = np.flatnonzero(sa)
+        vb = sb[bres]
+        inner = 0.0
+        for alpha, lam in zip(ares, lambda_rows(p, ares, bres)):
+            inner += float(sa[alpha]) * float((vb * lam).sum())
     return pref * inner
 
 

@@ -5,9 +5,11 @@ nonsingular reductions; the same Legendre-sum value is used at singular
 residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
-Full residue tables are built in O(p^2 log p) bounded work: one value-count
-pass per row followed by a batched FFT cross-correlation with the Legendre
-sequence, rounded back to integers and audited (row sums vanish, Hasse bound).
+Residue rows come from one evaluator, lambda_rows: three length-p Legendre
+correlations per prime (rows 0, 1 and g, the least non-residue), and every
+other row by the quadratic twist lambda(d^2 alpha, d^3 beta) =
+(d/p) lambda(alpha, beta) (Silverman, AEC III.1) as one integer gather, so a
+full table costs three correlations plus O(p^2).
 """
 
 from __future__ import annotations
@@ -85,52 +87,57 @@ class FrobTable:
         self.table.setflags(write=False)
 
 
-def lambda_table(p: int) -> FrobTable:
-    """All lambda(alpha, beta, p) at once.
-
-    Row alpha: count occurrences of each value of x^3 + alpha*x, then
-    correlate the counts with the Legendre sequence over all shifts beta via
-    FFT.  Entries are exact: magnitudes stay < 2*sqrt(p) << the double
-    mantissa, and two integer audits (zero row sums, Hasse bound) would catch
-    any rounding failure.
-    """
-    _check_p(p)
-    x = np.arange(p, dtype=np.int64)
-    cubes = x * x % p * x % p
-    counts = np.empty((p, p), dtype=np.float64)
-    for alpha in range(p):
-        counts[alpha] = np.bincount((cubes + alpha * x) % p, minlength=p)
-    ls = legendre_table(p).astype(np.float64)
-    spec = np.fft.fft(ls)[None, :] * np.conj(np.fft.fft(counts, axis=1))
-    corr = np.fft.ifft(spec, axis=1).real
-    lam = -np.rint(corr)
+def _audit(lam: np.ndarray, p: int) -> None:
+    """Integer audits of lambda rows: each row sums to 0, |lambda| < 2 sqrt(p)."""
     hasse = 2.0 * math.sqrt(p)
     if np.abs(lam).max() >= hasse + 0.5 or np.abs(lam.sum(axis=1)).max() != 0:
         raise RuntimeError(f"table audit failed for p={p}")
-    return FrobTable(p, lam.astype(np.int16))
 
 
-def lambda_block(a: int, p: int, bs: np.ndarray) -> np.ndarray:
-    """lambda(a, b, p) for one a and many b, without a full table.
+def lambda_rows(p: int, alphas, betas) -> np.ndarray:
+    """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
+    (len(alphas), len(betas)).
 
-    lambda(b) = -sum_t counts[t] * ls[(t + b) mod p] with counts the value
-    distribution of x^3 + a x; evaluated as a gather over a doubled Legendre
-    row, chunked to bound memory.
+    Rows c = 0, 1, g are the FFT correlation -sum_t counts_c[t] ((t + beta)/p)
+    of the value counts of x^3 + c x, exact after rounding (|lambda| < 2 sqrt(p)
+    << the double mantissa; the audits catch a failure).  Any other row
+    alpha = c d^2, c in {1, g}, 1 <= d <= (p-1)/2, is read off as
+    lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p).
     """
     _check_p(p)
-    ls = legendre_table(p).astype(np.int64)
-    ls2 = np.concatenate((ls, ls))
+    ls = legendre_table(p)
+    g = int(np.argmax(ls == -1))
     x = np.arange(p, dtype=np.int64)
-    c = (x * x % p * x + a % p * x) % p
-    counts = np.bincount(c, minlength=p)
-    bmod = np.asarray(bs, dtype=np.int64) % p
-    out = np.empty(len(bmod), dtype=np.int64)
-    t = np.arange(p, dtype=np.int64)
-    step = max(1, (1 << 22) // p)
-    for i in range(0, len(bmod), step):
-        blk = bmod[i : i + step]
-        out[i : i + step] = -(counts[None, :] * ls2[blk[:, None] + t[None, :]]).sum(axis=1)
-    return out
+    cubes = x * x % p * x % p
+    counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p)
+                       for c in (0, 1, g)]).astype(np.float64)
+    spec = np.fft.fft(ls.astype(np.float64))[None, :] * np.conj(np.fft.fft(counts, axis=1))
+    base = -np.rint(np.fft.ifft(spec, axis=1).real)
+    _audit(base, p)
+    base = base.astype(np.int16)
+    # alpha = c d^2 -> (base row of c, d); alpha = 0 reads row 0 with d = 1
+    d = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    sq = d * d % p
+    row = np.zeros(p, dtype=np.int64)
+    root = np.ones(p, dtype=np.int64)
+    row[sq], root[sq] = 1, d
+    row[g * sq % p], root[g * sq % p] = 2, d
+    inv = inverse_table(p)[root]
+    dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
+    step = (inv * inv % p * inv % p).astype(dt)
+    a = np.asarray(alphas, dtype=np.int64) % p
+    b = (np.asarray(betas, dtype=np.int64) % p).astype(dt)
+    cols = b[None, :] * step[a][:, None] % p
+    return base[row[a][:, None], cols] * ls[root[a]][:, None].astype(np.int16)
+
+
+def lambda_table(p: int) -> FrobTable:
+    """All lambda(alpha, beta, p): three correlations plus an O(p^2) gather
+    (lambda_rows over every residue), audited again as a whole."""
+    res = np.arange(p)
+    lam = lambda_rows(p, res, res)
+    _audit(lam, p)
+    return FrobTable(p, lam)
 
 
 def lambda_sq_total(p: int, tab: FrobTable | None = None) -> int:

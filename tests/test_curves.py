@@ -144,6 +144,15 @@ def test_batch_minimizes_a_zero_by_sixth_powers_of_b():
     _assert_grid_matches_scalar([0], [5**6, 2 * 7**6])
 
 
+def test_batch_stops_sieving_once_every_remainder_is_prime():
+    # sqrt(max) is about 1.2e6 from (1, 2*7^6), whose odd part is
+    # 1801 * 7057 * 7351; once those are out, the sieve may stop long before
+    _assert_grid_matches_scalar([0, 1], [5**6, 2 * 7**6, 3])
+    # (0, 2003) leaves 2003^2 with additive reduction: stopping before 2003
+    # would count it as one leftover prime of exponent 2
+    _assert_grid_matches_scalar([0, 1], [5**6, 2 * 7**6, 3, 2003])
+
+
 def test_batch_leftover_primes_on_both_sides_of_sqrt(rng):
     na = rng.sample(range(-400, 400), 10)
     nb = _nonsingular_b(na, rng.sample(range(-400, 400), 10))

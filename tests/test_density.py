@@ -163,6 +163,12 @@ def test_p1_table_and_streaming_agree(fam_1e3):
     assert p1_direct(low_cap) == pytest.approx(p1_direct(fam_1e3), rel=1e-12)
 
 
+def test_p1_direct_streams_family_1e5():
+    # primes above table_cap (most of them here) stream their lattice rows;
+    # the value is pinned exactly, as the direct route's oracle value at 1e5
+    assert repr(p1_direct(family(1e5))) == "5.53714473987411e-05"
+
+
 def test_p1_threads_bitwise_deterministic(fam_1e3):
     threaded = family(1e3, threads=2)
     assert p1_direct(threaded) == p1_direct(fam_1e3)

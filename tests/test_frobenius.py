@@ -14,9 +14,9 @@ from ecdensity.frobenius import (
     TableFormatError,
     get_table,
     inverse_table,
-    lambda_block,
     lambda_p,
     lambda_p2,
+    lambda_rows,
     lambda_sq_total,
     lambda_table,
     legendre_table,
@@ -86,12 +86,45 @@ def test_second_moment_identity():
         assert lambda_sq_total(p) == p * p * (p - 1)
 
 
-def test_lambda_block_matches_table():
+def test_table_matches_lambda_p_every_class():
+    # every p mod 3 and p mod 4 class, including the least non-residues 2, 3, 5
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        tab = lambda_table(p)
+        assert tab.table.dtype == np.int16
+        want = np.array([[lambda_p(a, b, p) for b in range(p)] for a in range(p)])
+        assert np.array_equal(tab.table, want)
+
+
+def test_lambda_rows_matches_table():
+    # one row at a time, with residues given outside [0, p)
     for p in (7, 13):
         tab = lambda_table(p)
         bs = np.arange(p, dtype=np.int64)
         for a in range(p):
-            assert np.array_equal(lambda_block(a, p, bs), tab.table[a])
+            assert np.array_equal(lambda_rows(p, [a], bs)[0], tab.table[a])
+            assert np.array_equal(lambda_rows(p, [a - p], bs + p)[0], tab.table[a])
+
+
+@pytest.mark.parametrize("p", [1009, 3163, 65537])
+def test_lambda_rows_random_blocks(rng, p):
+    # alpha = 0, a repeated alpha and unsorted betas, against direct summation;
+    # at 65537 many products beta * d^-3 pass the int32 range
+    alphas = [0] + [rng.randrange(1, p) for _ in range(6)]
+    alphas += [alphas[3], 0]
+    betas = [rng.randrange(p) for _ in range(12)] + [0]
+    block = lambda_rows(p, np.array(alphas), np.array(betas))
+    assert block.shape == (len(alphas), len(betas))
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
+            assert block[i, j] == lambda_p(a, b, p)
+
+
+def test_twist_identity(rng):
+    # lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta), by direct sums
+    for _ in range(40):
+        p = rng.choice(PRIMES + [101, 409])
+        a, b, d = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
+        assert brute_lambda(d * d * a, d**3 * b, p) == legendre(d, p) * brute_lambda(a, b, p)
 
 
 def test_twisted_sum_closed_form():
