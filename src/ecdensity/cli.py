@@ -17,12 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import DEFAULT_BOX
-from .arith import sieve_primes
 from .checks import IDENTITY_CHECKS
 from .density import (
     DEFAULT_TAIL_TOL,
     ZeroFileError,
     ZeroListTooShort,
+    cached_primes,
     check_lattice,
     density_report,
     explicit_formula_crosscheck,
@@ -33,7 +33,6 @@ from .density import (
     sweep_csv,
 )
 from .frobenius import (
-    DEFAULT_TABLE_CAP,
     TableFormatError,
     cache_dir,
     get_table,
@@ -70,7 +69,6 @@ class RunConfig:
     cache_dir: str | None = None
     seed: int = DEFAULT_SEED
     out: str | None = None
-    table_cap: int = DEFAULT_TABLE_CAP
     threads: int = 1
     tail_tol: float = DEFAULT_TAIL_TOL
 
@@ -91,15 +89,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
-    if cfg.table_cap < 5:
-        raise ConfigError("table_cap must be >= 5")
     if not (0 < cfg.tail_tol < 1):
         raise ConfigError("tail_tol must be in (0, 1)")
     return cfg
 
 
 _CONFIG_KEYS = ("x", "nu", "box", "method", "cache_dir", "seed", "out",
-                "table_cap", "threads", "tail_tol")
+                "threads", "tail_tol")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -125,7 +121,7 @@ def parse_config(text: str) -> RunConfig:
                 if len(parts) != 4:
                     raise ValueError("need 4 numbers")
                 fields["box"] = parts
-            elif key in ("seed", "table_cap", "threads"):
+            elif key in ("seed", "threads"):
                 fields[key] = int(val)
             elif key == "tail_tol":
                 fields[key] = float(val)
@@ -143,7 +139,6 @@ def render_config(cfg: RunConfig) -> str:
         "box = " + ",".join(repr(v) for v in cfg.box),
         f"method = {cfg.method}",
         f"seed = {cfg.seed}",
-        f"table_cap = {cfg.table_cap}",
         f"threads = {cfg.threads}",
         f"tail_tol = {repr(cfg.tail_tol)}",
     ]
@@ -167,7 +162,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", metavar="PREFIX", help="output file prefix")
     sp.add_argument("--box", nargs=4, type=float, metavar=("X0", "X1", "Y0", "Y1"))
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--table-cap", type=int, dest="table_cap")
     sp.add_argument("--cache-dir", dest="cache_dir")
     sp.add_argument("--tail-tol", type=float, dest="tail_tol")
 
@@ -194,8 +188,7 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"bad --nu value: {exc}")
     if getattr(args, "box", None):
         updates["box"] = tuple(args.box)
-    for key in ("method", "threads", "seed", "table_cap", "cache_dir",
-                "tail_tol", "out"):
+    for key in ("method", "threads", "seed", "cache_dir", "tail_tol", "out"):
         val = getattr(args, key, None)
         if val is not None:
             updates[key] = val
@@ -203,9 +196,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _spec_for(cfg: RunConfig, x: float):
-    return family(x, cfg.nu, cfg.box, table_cap=cfg.table_cap,
-                  tail_tol=cfg.tail_tol, threads=cfg.threads,
-                  cache_dir=cfg.cache_dir)
+    return family(x, cfg.nu, cfg.box, tail_tol=cfg.tail_tol,
+                  threads=cfg.threads, cache_dir=cfg.cache_dir)
 
 
 def _check_lattices(cfg: RunConfig) -> None:
@@ -317,7 +309,7 @@ def cmd_cache(cfg: RunConfig, action: str) -> int:
     base = Path(cfg.cache_dir) if cfg.cache_dir else cache_dir()
     if action == "build":
         base.mkdir(parents=True, exist_ok=True)
-        ps = [p for p in sieve_primes(cfg.table_cap) if p >= 5]
+        ps = cached_primes(_spec_for(cfg, cfg.x[-1]))
         for p in ps:
             get_table(p, base)
         _diag(f"{len(ps)} tables present in {base}")

@@ -12,9 +12,12 @@ where W is the total weight, C(X) the weighted mean of log N / log X, and
               sum_{a,b} lambda(a,b,p) w(a/A, b/B),
     P2 = the analogous sum at p^2 with lambda(p)^2 - p.
 
-P1 has two routes: the direct route contracts the full residue table of
-lambda against residue-class weight sums, and the dual route applies 2D
-Poisson summation per prime, turning the inner double sum into
+P1 has two routes.  The direct route contracts, per prime, the lambda block
+over the residues the (a, b) lattice hits against their weight sums,
+u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.  The block
+comes from lambda_rows, or from the disk cache when cache_dir is set and
+p <= TABLE_CAP.  The dual route applies 2D Poisson summation per prime,
+turning the inner double sum into
 
     -(AB/log X) sum_p psi4(p) (2 log p / p^{3/2}) phihat(log p/log X)
         sum_{h,k} (k/p) e(-h^3 kbar^2 / p) what(hA/p, kB/p),
@@ -45,6 +48,7 @@ from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
 from .characters import DirichletCharacter, char_eval, character_table
 from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
+    TABLE_CAP,
     get_table,
     inverse_table,
     lambda_p,
@@ -89,7 +93,6 @@ class FamilySpec:
     nu: Fraction
     phi: TestFunctionPair
     weight: SmoothWeight
-    table_cap: int = 1000
     tail_tol: float = DEFAULT_TAIL_TOL
     threads: int = 1
     cache_dir: str | None = None
@@ -181,71 +184,68 @@ def _p2_primes(f: FamilySpec) -> list[int]:
 # P1, direct route
 
 
-def _residue_weights(ns: np.ndarray, ws: np.ndarray, p: int) -> np.ndarray:
-    return np.bincount(ns % p, weights=ws, minlength=p).astype(np.float64)
-
-
-def _p1_term_direct(f: FamilySpec, p: int,
-                    na: np.ndarray, wa: np.ndarray,
-                    nb: np.ndarray, wb: np.ndarray) -> float:
-    lx = f.log_x
-    pref = float(f.phi.phihat(math.log(p) / lx)) * 2.0 * math.log(p) / (p * lx)
-    if p <= f.table_cap:
-        tab = get_table(p, f.cache_dir)
-        sa = _residue_weights(na, wa, p)
-        sb = _residue_weights(nb, wb, p)
-        inner = float(sa @ tab.table.astype(np.float64) @ sb)
+def _lattice_block(f: FamilySpec, p: int, na: np.ndarray, wa: np.ndarray,
+                   nb: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, lam, v) at p: u and v the weight sums of the residues the a and b
+    axes hit, lam the lambda block over those residues.  The block is sliced
+    from the cached table when cache_dir is set and p <= TABLE_CAP, and built
+    by lambda_rows otherwise."""
+    sa = np.bincount(na % p, weights=wa, minlength=p)
+    sb = np.bincount(nb % p, weights=wb, minlength=p)
+    ares = np.flatnonzero(sa)
+    bres = np.flatnonzero(sb)
+    if f.cache_dir is not None and p <= TABLE_CAP:
+        lam = get_table(p, f.cache_dir).table[np.ix_(ares, bres)]
     else:
-        # no full table: only the lattice residues' rows, summed row by row
-        sb = _residue_weights(nb, wb, p)
-        bres = np.flatnonzero(sb)
-        sa = _residue_weights(na, wa, p)
-        ares = np.flatnonzero(sa)
-        vb = sb[bres]
-        inner = 0.0
-        for alpha, lam in zip(ares, lambda_rows(p, ares, bres)):
-            inner += float(sa[alpha]) * float((vb * lam).sum())
-    return pref * inner
+        lam = lambda_rows(p, ares, bres)
+    return sa[ares], lam.astype(np.float64), sb[bres]
 
 
-def _p1_direct_chunk(f: FamilySpec, ps: list[int]) -> float:
+def _p1_direct_chunk(f: FamilySpec, ps: list[int]) -> tuple[float, int]:
+    """(sum of the P1 terms over ps, cells contracted)."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
+    lx = f.log_x
     acc = _Neumaier()
+    cells = 0
     for p in ps:
-        acc.add(_p1_term_direct(f, p, na, wa, nb, wb))
-    return acc.total
-
-
-def _chunk_worker(args):
-    f, ps = args
-    return _p1_direct_chunk(f, ps)
+        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
+        pref = float(f.phi.phihat(math.log(p) / lx)) * 2.0 * math.log(p) / (p * lx)
+        acc.add(pref * float(u @ lam @ v))
+        cells += lam.size
+    return acc.total, cells
 
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
-    """P1 by residue-table contraction per prime (deterministic prime order)."""
+    """P1 by residue-block contraction per prime (deterministic prime order)."""
     primes = _p1_primes(f)
     chunks = [primes[i : i + _P1_CHUNK] for i in range(0, len(primes), _P1_CHUNK)]
     if f.threads > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=f.threads) as ex:
-            parts = list(ex.map(_chunk_worker, [(f, c) for c in chunks]))
+            parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks))
     else:
         parts = [_p1_direct_chunk(f, c) for c in chunks]
     acc = _Neumaier()
-    for v in parts:
+    for v, _ in parts:
         acc.add(v)
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = direct_term_count(f)
+        stats["cells"] = sum(c for _, c in parts)
     return acc.total
 
 
 def direct_term_count(f: FamilySpec) -> int:
-    """Summand count of the direct route's residue-grid contraction,
-    p^2 per prime.  The streaming fallback for p above the table cap skips
-    zero-weight residues, but that exploits family sparsity, not the
-    representation; the contraction itself always has p^2 terms."""
+    """Summand count of the direct route over the full residue grid, p^2 per
+    prime.  The route contracts only the residues the lattice hits; p1_direct
+    reports that count as stats["cells"]."""
     return sum(p * p for p in _p1_primes(f))
+
+
+def cached_primes(f: FamilySpec) -> list[int]:
+    """The primes whose residue tables the pipeline reads from f.cache_dir:
+    the P1 primes up to TABLE_CAP (the P2 primes are among them)."""
+    return [p for p in _p1_primes(f) if p <= TABLE_CAP]
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +365,8 @@ def p2_direct(f: FamilySpec) -> float:
     lx = f.log_x
     acc = _Neumaier()
     for p in _p2_primes(f):
-        tab = get_table(p, f.cache_dir)
-        t = tab.table.astype(np.float64)
-        sa = _residue_weights(na, wa, p)
-        sb = _residue_weights(nb, wb, p)
-        inner = float(sa @ (t * t - p) @ sb)
+        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
+        inner = float(u @ (lam * lam - p) @ v)
         pref = float(f.phi.phihat(2.0 * math.log(p) / lx))
         acc.add(pref * 2.0 * math.log(p) / (p * p * lx) * inner)
     return acc.total
@@ -429,9 +426,9 @@ class DensityReport:
 
 def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     """Full pipeline at one X; method "auto" switches to the dual route once
-    the prime cutoff passes the table cap."""
+    the prime cutoff X^nu passes TABLE_CAP."""
     if method == "auto":
-        method = "poisson" if f.x ** float(f.nu) > f.table_cap else "direct"
+        method = "poisson" if f.x ** float(f.nu) > TABLE_CAP else "direct"
     if method not in ("direct", "poisson"):
         raise ValueError(f"unknown method {method!r}")
     warnings = []

@@ -28,7 +28,7 @@ from .arith import is_prime, legendre, mod_inverse, psi4
 
 TABLE_MAGIC = b"FRBT"
 TABLE_VERSION = 2
-DEFAULT_TABLE_CAP = 1000
+TABLE_CAP = 1000  # the largest p read through the disk cache; auto routing's cutoff
 
 def _check_p(p: int) -> None:
     if p <= 3 or not is_prime(p):
@@ -189,26 +189,29 @@ class TableFormatError(ValueError):
     pass
 
 
-def load_table(path: str | Path) -> FrobTable:
-    """Read a cached table; any mismatch (magic, version, size, CRC) raises."""
+def load_table(path: str | Path, p: int | None = None) -> FrobTable:
+    """Read a cached table; any mismatch (magic, version, size, CRC, and the
+    header's prime when p is given) raises."""
     raw = Path(path).read_bytes()
     if len(raw) < 21:
         raise TableFormatError(f"{path}: truncated header")
     if raw[:4] != TABLE_MAGIC:
         raise TableFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, p, width = struct.unpack("<IQB", raw[4:17])
+    version, hp, width = struct.unpack("<IQB", raw[4:17])
     if version != TABLE_VERSION:
         raise TableFormatError(f"{path}: unsupported version {version}")
     if width != 2:
         raise TableFormatError(f"{path}: unsupported entry width {width}")
-    need = 17 + 2 * p * p + 4
+    if p is not None and hp != p:
+        raise TableFormatError(f"{path}: holds the table for p={hp}, not {p}")
+    need = 17 + 2 * hp * hp + 4
     if len(raw) != need:
         raise TableFormatError(f"{path}: wrong length {len(raw)}, expected {need}")
     (stored,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(raw[:-4]) != stored:
         raise TableFormatError(f"{path}: checksum mismatch")
-    table = np.frombuffer(raw[17:-4], dtype="<i2").reshape(p, p).astype(np.int16)
-    return FrobTable(int(p), table)
+    table = np.frombuffer(raw[17:-4], dtype="<i2").reshape(hp, hp).astype(np.int16)
+    return FrobTable(int(hp), table)
 
 
 def cache_dir() -> Path:
@@ -227,17 +230,18 @@ def get_table(p: int, directory: str | Path | None = None) -> FrobTable:
     """The table for p, read through the cache in `directory` when one is given.
 
     With no directory the table is computed and no file is touched.  With
-    one, a valid entry is loaded; a missing, corrupt or older-format entry
-    is recomputed and, when the directory exists, overwritten with the
-    fresh table.  A corrupt or older-format entry first emits a
-    RuntimeWarning that names the file and what is wrong with it.
+    one, a valid entry is loaded; a missing, corrupt or older-format entry,
+    or one whose header holds another prime, is recomputed and, when the
+    directory exists, overwritten with the fresh table.  Every entry but a
+    missing one first emits a RuntimeWarning that names the file and what is
+    wrong with it.
     """
     if directory is None:
         return lambda_table(p)
     path = table_path(p, directory)
     if path.exists():
         try:
-            return load_table(path)
+            return load_table(path, p)
         except TableFormatError as exc:
             warnings.warn(f"recomputing table cache entry: {exc}", RuntimeWarning, stacklevel=2)
     tab = lambda_table(p)

@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
 def test_config_render_parse_round_trip(tmp_path):
     cfg = RunConfig(x=(1e3, 1e4), nu=Fraction(2, 3), box=(0.25, 0.75, 0.5, 2.0),
                     method="poisson", cache_dir=str(tmp_path), seed=99,
-                    out="sweep", table_cap=500, threads=2, tail_tol=1e-8)
+                    out="sweep", threads=2, tail_tol=1e-8)
     assert parse_config(render_config(cfg)) == cfg
     # defaults round-trip too (cache_dir/out omitted when unset)
     assert parse_config(render_config(RunConfig())) == RunConfig()
@@ -72,8 +72,6 @@ def test_validate_config_rejects_bad_values():
         validate_config(RunConfig(threads=0))
     with pytest.raises(ConfigError):
         validate_config(RunConfig(tail_tol=2.0))
-    with pytest.raises(ConfigError):
-        validate_config(RunConfig(table_cap=1))
 
 
 # -- density ---------------------------------------------------------------
@@ -147,7 +145,7 @@ def test_density_missing_config_exit_2(capsys):
 
 def test_cache_build_stat_gc(tmp_path, capsys):
     cache = tmp_path / "cache"
-    rc = main(["cache", "build", "--cache-dir", str(cache), "--table-cap", "100"])
+    rc = main(["cache", "build", "--cache-dir", str(cache), "--x", "700"])
     assert rc == 0
     files = sorted(cache.glob("*.frbt"))
     assert len(files) == 23                  # primes 5 .. 97

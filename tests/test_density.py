@@ -19,7 +19,10 @@ from ecdensity.density import (
     ZeroFileError,
     ZeroList,
     ZeroListTooShort,
+    _axis_lattice,
+    _lattice_block,
     _p1_poisson_term,
+    _p1_primes,
     _row_cuts,
     check_lattice,
     conductor_term,
@@ -46,6 +49,7 @@ from ecdensity.density import (
     write_zero_file,
 )
 from ecdensity.characters import enumerate_characters
+from ecdensity.frobenius import TABLE_CAP, lambda_table
 
 ZERO_FILE = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
 
@@ -157,16 +161,43 @@ def test_p2_direct_matches_brute(fam_250):
     assert got == pytest.approx(want, abs=1e-11 * max(1.0, abs(want)))
 
 
-def test_p1_table_and_streaming_agree(fam_1e3):
-    # force the streaming fallback for every prime above 5
-    low_cap = family(1e3, table_cap=5)
-    assert p1_direct(low_cap) == pytest.approx(p1_direct(fam_1e3), rel=1e-12)
+def _full_table_terms(f, p):
+    """(P1, P2) inner sums at p over the full residue grid: sa @ T @ sb."""
+    na, wa = _axis_lattice(f, 0)
+    nb, wb = _axis_lattice(f, 1)
+    sa = np.bincount(na % p, weights=wa, minlength=p)
+    sb = np.bincount(nb % p, weights=wb, minlength=p)
+    t = lambda_table(p).table.astype(np.float64)
+    return sa @ t @ sb, sa @ (t * t - p) @ sb
+
+
+@pytest.mark.parametrize("x, picks", [
+    pytest.param(1e3, None, id="1e3"),
+    pytest.param(1e5, (5, 997, 1009, 2003, 3137), id="1e5"),
+])
+def test_lattice_block_matches_full_table(x, picks, tmp_path):
+    # every P1 prime of family(1e3) and a few of family(1e5), some above
+    # TABLE_CAP: the lattice-residue block contracts to the full-table value,
+    # and the cached table's slice is the lambda_rows block exactly
+    f = family(x)
+    cached = family(x, cache_dir=str(tmp_path))
+    na, wa = _axis_lattice(f, 0)
+    nb, wb = _axis_lattice(f, 1)
+    primes = _p1_primes(f) if picks is None else picks
+    assert picks is None or set(picks) <= set(_p1_primes(f))
+    for p in primes:
+        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
+        want1, want2 = _full_table_terms(f, p)
+        assert u @ lam @ v == pytest.approx(want1, rel=1e-12)
+        assert u @ (lam * lam - p) @ v == pytest.approx(want2, rel=1e-12)
+        if p <= TABLE_CAP:
+            _, lam_c, _ = _lattice_block(cached, p, na, wa, nb, wb)
+            assert np.array_equal(lam_c, lam)
 
 
 def test_p1_direct_streams_family_1e5():
-    # primes above table_cap (most of them here) stream their lattice rows;
-    # the value is pinned exactly, as the direct route's oracle value at 1e5
-    assert repr(p1_direct(family(1e5))) == "5.53714473987411e-05"
+    # pinned exactly, as the direct route's oracle value at 1e5
+    assert repr(p1_direct(family(1e5))) == "5.537144739874144e-05"
 
 
 def test_p1_threads_bitwise_deterministic(fam_1e3):
@@ -383,6 +414,16 @@ def test_sweep_csv_shape_and_determinism():
     assert vals["nu"] == "7/10"
 
 
+def test_cached_report_matches_uncached(tmp_path):
+    # the pipeline reads table slices from the cache; the row must not move,
+    # on the cold fill or on the warm re-read
+    want = sweep_csv([density_report(family(1e3))])
+    f = family(1e3, cache_dir=str(tmp_path))
+    assert sweep_csv([density_report(f)]) == want
+    assert len(list(tmp_path.glob("*.frbt"))) == len(_p1_primes(f))
+    assert sweep_csv([density_report(f)]) == want
+
+
 def test_report_json_round_trip(fam_250):
     rep = density_report(fam_250)
     blob = json.loads(report_json(rep))
@@ -395,7 +436,12 @@ def test_report_json_round_trip(fam_250):
     blob = json.loads(report_json(dual))
     assert isinstance(dual.p1_imag_leak, float)
     assert blob["P1_imag_leak"] == dual.p1_imag_leak < 1e-9 * abs(dual.p1)
-    assert "p1_cells" not in rep.term_counts
+    ax, bx = _brute_family(fam_250)
+    lx = fam_250.log_x
+    cells = sum(len({a % p for a, _ in ax}) * len({b % p for b, _ in bx})
+                for p in _primes_upto(int(fam_250.x ** 0.7) + 2)
+                if math.log(p) / lx < 0.7)
+    assert rep.term_counts["p1_cells"] == cells < rep.term_counts["p1_terms"]
     counts = blob["term_counts"]
     assert counts == dual.term_counts and counts["p1_cells"] >= counts["p1_terms"] > 0
 

@@ -210,6 +210,19 @@ def test_get_table_uses_cache(tmp_path):
         assert np.array_equal(load_table(path).table, lambda_table(p).table)
 
 
+def test_get_table_rejects_another_primes_entry(tmp_path):
+    # a valid file for p = 29 under the name of p = 31 is a corrupt entry:
+    # warned about, recomputed and overwritten with the table for 31
+    save_table(lambda_table(29), table_path(31, tmp_path))
+    with pytest.raises(TableFormatError, match="p=29, not 31"):
+        load_table(table_path(31, tmp_path), 31)
+    with pytest.warns(RuntimeWarning, match="holds the table for p=29, not 31"):
+        tab = get_table(31, tmp_path)
+    assert tab.p == 31
+    assert np.array_equal(tab.table, lambda_table(31).table)
+    assert load_table(table_path(31, tmp_path), 31).p == 31
+
+
 def test_get_table_without_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("ECDENSITY_CACHE_DIR", str(tmp_path))
     t = get_table(17)
