@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +67,8 @@ def fejer_pair(nu: Fraction | str | float) -> TestFunctionPair:
 
 def _fejer_tail(w: float, x0: float, nu: float) -> float:
     """integral_{x0}^inf cos(2 pi w x) / (pi^2 nu x^2) dx, w >= 0."""
+    from scipy.integrate import quad
+
     if w == 0.0:
         return 1.0 / (math.pi**2 * nu * x0)
     val, _ = quad(lambda x: 1.0 / (math.pi**2 * nu * x * x), x0, np.inf,
@@ -83,6 +84,8 @@ def verify_fourier_pair(pair: TestFunctionPair, grid) -> float:
     - cos(2 pi |y-nu| x)/2] / (pi^2 nu x^2), finite part by adaptive
     quadrature and the three 1/x^2 tails by QAWF.
     """
+    from scipy.integrate import quad
+
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     worst = 0.0
     nu = float(pair.nu)

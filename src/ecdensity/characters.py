@@ -56,6 +56,32 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
+def power_table(g: int, n: int, q: int) -> np.ndarray:
+    """g^t mod q for t = 0..n-1 as int64 (q < 3e9).  With t = b i + j and
+    b ~ sqrt(n), the b powers g^j and the n/b powers g^(b i) come from two
+    short loops and one outer product mod q, as in axis_progression."""
+    b = math.isqrt(n) + 1
+    runs = []
+    for step, count in ((g % q, b), (pow(g, b, q), n // b + 1)):
+        run = np.empty(count, dtype=np.int64)
+        acc = 1
+        for j in range(count):
+            run[j] = acc
+            acc = acc * step % q
+        runs.append(run)
+    return (runs[1][:, None] * runs[0] % q).ravel()[:n]
+
+
+def dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, dl) mod an odd prime p, for g = _primitive_root(p): pw[t] = g^t
+    for t = 0..p-2 and dl[pw[t]] = t, so dl inverts pw on 1..p-1 (dl[0] = 0
+    is a placeholder)."""
+    pw = power_table(_primitive_root(p), p - 1, p)
+    dl = np.zeros(p, dtype=np.int64)
+    dl[pw] = np.arange(p - 1)
+    return pw, dl
+
+
 def _odd_prime_power_generator(p: int, k: int) -> int:
     """Generator of the cyclic group (Z/p^k)^* for odd p."""
     g = _primitive_root(p)
@@ -127,12 +153,7 @@ class CharGroup:
         q, r = self.q, self.r
         vals = np.ones(1, dtype=np.int64)
         for g, m in zip(self.basis.gens, self.orders):
-            powers = np.empty(m, dtype=np.int64)
-            acc = 1
-            for j in range(m):
-                powers[j] = acc
-                acc = acc * g % q
-            vals = (vals[:, None] * powers[None, :] % q).reshape(-1)
+            vals = (vals[:, None] * power_table(g, m, q)[None, :] % q).reshape(-1)
         self.dlog_mat = np.full((q, r), -1, dtype=np.int64)
         if r:
             digits = np.unravel_index(np.arange(self.phi), self.orders)

@@ -25,9 +25,13 @@ turning the inner double sum into
 whose (h, k) window shrinks with the transform decay of the weight.  Terms
 with |what| < tail_tol are dropped, so the routes differ by that truncation,
 not by rounding: 8.5e-5, 1.6e-4 and 4.0e-3 relative at X = 1e3, 1e4, 1e5 by
-default.  Only the kept cells are contracted, as a staircase of row blocks
-(see _p1_poisson_term): on a 2-core host P1 takes about 1.1 s at X = 1e5
-and 15 s at 1e6, against 2.0 s and 40 s for the full (h, k) phase matrix.
+default.  Only the kept cells with h >= 0 are built, as a staircase of row
+blocks whose phases are indexed by discrete logs; each built cell also
+serves row -h by conjugation (see _p1_poisson_term), so the p1_cells count
+of built cells is about half of p1_terms.  On a 2-core host P1 takes about
+0.9 s at X = 1e5 and 7 s at 1e6, against 1.2 s and 15 s building both signs
+with a reduction mod p per cell, and 2.0 s and 40 s for the full (h, k)
+phase matrix.
 """
 
 from __future__ import annotations
@@ -41,11 +45,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
 from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
-from .characters import DirichletCharacter, char_eval, character_table
+from .characters import DirichletCharacter, char_eval, character_table, dlog_table
 from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     TABLE_CAP,
@@ -61,6 +64,10 @@ NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
 _P1_CHUNK = 16
 _P1_BLOCKS = 8
+# sum of the P1 primes below which p1_direct stays serial: on a 2-core host a
+# two-process pool lost to the serial loop at X = 1e3 and 1e4 (sums 1,588 and
+# 32,348) and won from about X = 5e4 (sum 261,217)
+_P1_POOL_WORK = 200_000
 
 
 class _Neumaier:
@@ -220,7 +227,7 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     """P1 by residue-block contraction per prime (deterministic prime order)."""
     primes = _p1_primes(f)
     chunks = [primes[i : i + _P1_CHUNK] for i in range(0, len(primes), _P1_CHUNK)]
-    if f.threads > 1 and len(chunks) > 1:
+    if f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK:
         with ProcessPoolExecutor(max_workers=f.threads) as ex:
             parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks))
     else:
@@ -266,13 +273,22 @@ def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> np.ndarray:
     return n - idx
 
 
-def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
-                     count_only: bool) -> tuple[complex, int, int]:
+def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
+                     clock: list | None = None) -> tuple[complex, int, int]:
     """(S_p, kept cells, phase cells built) of the dual (h, k) block at p.
 
-    Columns go in stable descending |vb| order and the non-empty rows in
-    descending kept count, so the kept cells form a staircase; it is
-    contracted in _P1_BLOCKS row blocks, each as wide as its widest row."""
+    va(-h) = conj va(h) exactly, so rows h and -h keep the same columns and
+    have conjugate phases: row -h sums to conj(sum_k omega(h, k) conj c_k).
+    Only rows h >= 0 are built, and one product against (c, conj c) serves
+    both signs.  The phase of h^3 kbar^2 = g^(3 dl(h) - 2 dl(k)) is read from
+    a doubled table of g-powers by an integer sum, with one extra stretch of
+    ones for the rows h = 0 mod p and a 0 sentinel.  Columns go in stable
+    descending |vb| order and the non-empty rows in descending kept count, so
+    the kept cells form a staircase; it is contracted in _P1_BLOCKS row
+    blocks, each as wide as its widest row.  clock, when given, gains the
+    seconds of the progressions and row cuts in clock[0] and of the phase
+    tables and block loop in clock[1]."""
+    t0 = time.perf_counter()
     a_sc, b_sc = f.a_scale, f.b_scale
     wt = f.weight
     m0, m1 = wt.axis_mass(0), wt.axis_mass(1)
@@ -280,7 +296,6 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
     r1 = wt.radius(1, tol / m0)
     hmax = int(r0 * p / a_sc)
     kmax = int(r1 * p / b_sc)
-    h = np.arange(-hmax, hmax + 1, dtype=np.int64)
     k = np.arange(-kmax, kmax + 1, dtype=np.int64)
     keep = k % p != 0  # (k/p) = 0 there, exactly
     k = k[keep]
@@ -291,28 +306,37 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float,
     absb = np.abs(vb)
     counts = _row_cuts(np.abs(va), absb, tol)
     count = int(counts.sum())
+    t1 = time.perf_counter()
+    if clock is not None:
+        clock[0] += t1 - t0
     if count_only or count == 0:
         return 0.0j, count, 0
     cols = np.argsort(-absb, kind="stable")
     kmod = k[cols] % p
-    inv = inverse_table(p)
-    kinv2 = inv[kmod] * inv[kmod] % p
     coeff = legendre_table(p).astype(np.float64)[kmod] * vb[cols]
-    rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    # (p - 1)^2 fits int32 below 46341; cells past a row's count read omega[p] = 0
-    dt = np.int32 if p < 46341 else np.int64
-    h3 = (np.power(h % p, 3) % p).astype(dt)
-    kinv2 = kinv2.astype(dt)
-    omega = np.append(np.exp(-2j * np.pi * np.arange(p) / p), 0.0)
+    coeff = np.stack((coeff, coeff.conj()), 1)
+    half = counts[hmax:]
+    rows = np.argsort(-half, kind="stable")[: np.count_nonzero(half)]
+    va_neg = va[hmax::-1].copy()
+    va_neg[0] = 0.0  # row h = 0 counts once
+    # indices into omega stay below 3p, so int32 holds; 3(p - 1) is the sentinel
+    pw, dl = dlog_table(p)
+    hmod = np.arange(hmax + 1) % p
+    ah = np.where(hmod == 0, 2 * (p - 1), 3 * dl[hmod] % (p - 1)).astype(np.int32)
+    bk = (-2 * dl[kmod] % (p - 1)).astype(np.int32)
+    wpow = np.exp(-2j * np.pi * pw / p)
+    omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
     s_p = 0.0j
     cells = 0
     for r in np.array_split(rows, min(_P1_BLOCKS, rows.size)):
-        width = int(counts[r[0]])
-        phase = np.multiply.outer(h3[r], kinv2[:width])
-        phase %= p
-        np.copyto(phase, p, where=np.arange(width) >= counts[r, None])
-        s_p += complex(va[r] @ (omega.take(phase) @ coeff[:width]))
+        width, low = int(half[r[0]]), int(half[r[-1]])
+        phase = np.add.outer(ah[r], bk[:width])
+        np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= half[r, None])
+        out = omega.take(phase) @ coeff[:width]
+        s_p += complex(va[hmax + r] @ out[:, 0] + va_neg[r] @ out[:, 1].conj())
         cells += phase.size
+    if clock is not None:
+        clock[1] += time.perf_counter() - t1
     return s_p, count, cells
 
 
@@ -325,9 +349,10 @@ def p1_poisson(f: FamilySpec, tail_tol: float | None = None,
     acc_re = _Neumaier()
     acc_im = _Neumaier()
     terms = cells = 0
+    clock = [0.0, 0.0]
     primes = _p1_primes(f)
     for p in primes:
-        s_p, n, c = _p1_poisson_term(f, p, tol, count_only=False)
+        s_p, n, c = _p1_poisson_term(f, p, tol, count_only=False, clock=clock)
         terms += n
         cells += c
         w1 = float(f.phi.phihat(math.log(p) / lx))
@@ -341,6 +366,7 @@ def p1_poisson(f: FamilySpec, tail_tol: float | None = None,
         stats["terms"] = terms
         stats["cells"] = cells
         stats["imag_leak"] = abs(total.imag)
+        stats["transform_s"], stats["contract_s"] = clock
     return total.real
 
 
@@ -445,6 +471,9 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     stats: dict = {}
     p1 = p1_direct(f, stats) if method == "direct" else p1_poisson(f, stats=stats)
     timings["p1"] = time.perf_counter() - t0
+    if "transform_s" in stats:
+        timings["p1_transform"] = stats["transform_s"]
+        timings["p1_contract"] = stats["contract_s"]
     counts["p1_terms"] = stats.get("terms", 0)
     counts["p1_primes"] = stats.get("primes", 0)
     if "cells" in stats:
@@ -744,6 +773,8 @@ def _zero_tail_bound(height: float, log_n_hi: float, nu: float, scale: float) ->
     """Bound on the neglected sum over zeros above the listed height: the test
     function envelope 1/(pi^2 nu (scale t)^2) times a zero-count density
     log(N (2+t)) per unit ordinate, integrated upward."""
+    from scipy.integrate import quad
+
     def integrand(t):
         return (log_n_hi + math.log(2.0 + t)) / (t * t)
     val, _ = quad(integrand, height, np.inf, limit=200)

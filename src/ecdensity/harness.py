@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import divisors, factorize, legendre, sieve_primes, smallest_factor_table
 from .characters import character_table, enumerate_characters
@@ -192,6 +191,8 @@ def gallagher_spacing_check(s, s_prime, points, t0: float, t_len: float,
     """sum over the delta-spaced points of |S|^2 against
     (1/delta) int |S|^2 + sqrt(int |S|^2) sqrt(int |S'|^2) on [T0, T0+T].
     Quadrature error is folded into the pass tolerance."""
+    from scipy.integrate import quad
+
     if delta <= 0 or t_len < delta:
         raise ValueError("need T >= delta > 0")
     pts = _check_well_spaced(points, delta, t0 + delta / 2, t0 + t_len - delta / 2)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from ecdensity.arith import factorize, is_prime, jacobi
 from ecdensity.characters import (
+    CharGroup,
+    _primitive_root,
     char_conj,
     char_eval,
     char_group,
@@ -21,6 +24,7 @@ from ecdensity.characters import (
     count_cube_roots_structural,
     cubic_characters,
     cubic_structure_report,
+    dlog_table,
     enumerate_characters,
     gauss_sum,
     gauss_sum_matrix,
@@ -48,6 +52,33 @@ def test_unit_group_basis_mod_8():
     assert sorted(b.orders) == [2, 2]
     gens = set(b.gens)
     assert gens == {7, 5} or gens == {3, 5}  # -1 and 5 up to choice
+
+
+def test_dlog_table_is_a_power_permutation(rng):
+    for p in [p for p in range(5, 2000) if is_prime(p)] + [79_427]:
+        pw, dl = dlog_table(p)
+        units = np.arange(1, p)
+        assert np.array_equal(np.sort(pw), units)
+        assert np.array_equal(pw[dl[units]], units)
+        g = _primitive_root(p)
+        for t in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(20)]:
+            assert pw[t] == pow(g, t, p)
+
+
+def test_dlog_mat_matches_loop_reference():
+    # n = prod gens[i]^digits[i] mod q, one scalar pow at a time
+    for q in range(1, 400):
+        grp = CharGroup(q)
+        ref = np.full((q, grp.r), -1, dtype=np.int64)
+        units = np.zeros(q, dtype=bool)
+        for digits in product(*(range(m) for m in grp.orders)):
+            n = 1 % q
+            for gen, d in zip(grp.basis.gens, digits):
+                n = n * pow(gen, d, q) % q
+            ref[n] = digits
+            units[n] = True
+        assert np.array_equal(grp.dlog_mat, ref)
+        assert np.array_equal(grp.unit_mask, units)
 
 
 def test_character_count_and_homomorphism(rng):

@@ -6,12 +6,16 @@ loops) so they share no code with the vectorized paths they certify.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ecdensity import density
 from ecdensity.density import (
     DEFAULT_TAIL_TOL,
     CrosscheckReport,
@@ -200,9 +204,23 @@ def test_p1_direct_streams_family_1e5():
     assert repr(p1_direct(family(1e5))) == "5.537144739874144e-05"
 
 
-def test_p1_threads_bitwise_deterministic(fam_1e3):
-    threaded = family(1e3, threads=2)
-    assert p1_direct(threaded) == p1_direct(fam_1e3)
+def test_p1_threads_bitwise_deterministic(fam_1e3, monkeypatch):
+    # below _P1_POOL_WORK (1e3 and 1e4 here) no pool starts, whatever
+    # threads asks for, and the value is the serial one
+    def no_pool(*args, **kwargs):
+        raise AssertionError("p1_direct started a process pool")
+    want = [repr(p1_direct(f)) for f in (fam_1e3, family(1e4))]
+    monkeypatch.setattr(density, "ProcessPoolExecutor", no_pool)
+    assert [repr(p1_direct(family(x, threads=2))) for x in (1e3, 1e4)] == want
+
+
+def test_p1_pool_keeps_the_serial_bits(fam_1e3, monkeypatch):
+    # forced through the process pool, the fixed chunks and reduction order
+    # still give the serial value bit for bit
+    monkeypatch.setattr(density, "_P1_POOL_WORK", 0)
+    stats: dict = {}
+    assert repr(p1_direct(family(1e3, threads=2), stats)) == repr(p1_direct(fam_1e3))
+    assert stats["cells"] > 0
 
 
 def test_p1_single_and_p2_single_match_brute(fam_250):
@@ -247,7 +265,8 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
         stats = {}
         p1_poisson(f, stats=stats)
         assert poisson_term_count(f) == stats["terms"] == want
-        assert stats["cells"] >= stats["terms"]
+        # one built cell serves the rows h and -h
+        assert 2 * stats["cells"] >= stats["terms"]
 
 
 def test_row_cuts_apply_the_exact_product_test():
@@ -266,7 +285,8 @@ def test_row_cuts_apply_the_exact_product_test():
 
 def _dense_dual_term(f, p):
     """The dual (h, k) block at p by the per-point transform and a dense
-    complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept cells."""
+    complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept
+    cells, their count, and the count of those with h >= 0."""
     wt, tol = f.weight, f.tail_tol
     hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
     kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
@@ -279,7 +299,8 @@ def _dense_dual_term(f, p):
     h3 = np.array([pow(int(x), 3, p) for x in h])
     mat = np.exp(-2j * np.pi * (np.outer(h3, kinv2) % p) / p)
     sym = np.array([_leg(int(x), p) for x in k])
-    return complex(va @ ((mat * mask) @ (sym * vb))), int(mask.sum())
+    return (complex(va @ ((mat * mask) @ (sym * vb))), int(mask.sum()),
+            int(mask[h >= 0].sum()))
 
 
 @pytest.mark.parametrize("x, p, tail_tol", [
@@ -294,9 +315,46 @@ def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
     got, n, cells = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
-    want, want_n = _dense_dual_term(f, p)
-    assert cells >= n == want_n > 0
+    want, want_n, want_half = _dense_dual_term(f, p)
+    assert n == want_n > 0
+    assert cells >= want_half  # rows h < 0 come from the rows h > 0
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
+
+
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_dual_row_counts_are_mirror_symmetric(x):
+    # the fold builds rows h >= 0 only; it needs row -h to keep row h's count
+    f = family(x)
+    wt, tol = f.weight, f.tail_tol
+    for p in _p1_primes(f):
+        hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
+        kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+        k = np.arange(-kmax, kmax + 1)
+        va = wt.axis_progression(0, f.a_scale / p, hmax)
+        vb = wt.axis_progression(1, f.b_scale / p, kmax)[k % p != 0]
+        counts = _row_cuts(np.abs(va), np.abs(vb), tol)
+        assert counts.size == 2 * hmax + 1
+        assert np.array_equal(counts, counts[::-1])
+
+
+def test_dual_report_splits_the_p1_timing(fam_250):
+    dual = density_report(fam_250, method="poisson")
+    t = dual.timings
+    assert t["p1_transform"] > 0 and t["p1_contract"] > 0
+    assert t["p1_transform"] + t["p1_contract"] <= t["p1"]
+    direct = density_report(fam_250, method="direct")
+    assert "p1_transform" not in direct.timings and "p1_contract" not in direct.timings
+
+
+def test_import_and_report_load_no_scipy():
+    # scipy serves only the verification harnesses, imported where they run
+    code = ("import sys, ecdensity\n"
+            "ecdensity.density_report(ecdensity.family(1e3))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_poisson_tail_tol_monotone(fam_250):
@@ -443,7 +501,7 @@ def test_report_json_round_trip(fam_250):
                 if math.log(p) / lx < 0.7)
     assert rep.term_counts["p1_cells"] == cells < rep.term_counts["p1_terms"]
     counts = blob["term_counts"]
-    assert counts == dual.term_counts and counts["p1_cells"] >= counts["p1_terms"] > 0
+    assert counts == dual.term_counts and 2 * counts["p1_cells"] >= counts["p1_terms"] > 0
 
 
 # -- dyadic block and its character expansion ------------------------------
