@@ -9,7 +9,8 @@ whose transform has compact support; the shipped pair is the Fejer pair
 so phi(0) = nu and phihat(0) = 1.  Family weights are tensor products of the
 C-infinity bump u(t) = exp(-1/(t(1-t))) scaled to a box; their transforms
 are a fixed 256-node Gauss-Legendre sum per axis, at single points or on a
-whole progression by one factored product, with a one-time FFT magnitude
+whole progression by one factored product of two power tables (one complex
+exp per node and table, the rest by doubling), with a one-time FFT magnitude
 profile per axis supplying certified truncation radii for lattice sums (the
 quadrature itself is only trusted inside the profiled band).
 """
@@ -113,6 +114,21 @@ def bump(t):
     return np.where(inside, out, 0.0)
 
 
+def _power_rows(z: np.ndarray, count: int, first) -> np.ndarray:
+    """Rows first * z^t for t = 0..count-1: rows [m, 2m) are rows [0, m)
+    times z^m, with z^m by squaring, so row t is first times one power
+    z^(2^k) per set bit k of t, at most ceil(log2 count) products."""
+    rows = np.empty((count, z.size), dtype=complex)
+    rows[0] = first
+    m = 1
+    while m < count:
+        k = min(m, count - m)
+        np.multiply(rows[:k], z, out=rows[m:m + k])
+        m += k
+        z = z * z
+    return rows
+
+
 DEFAULT_BOX = (0.5, 1.0, 0.5, 1.0)
 GL_NODES = 256
 _PROFILE_SAMPLES = 1 << 16
@@ -181,13 +197,15 @@ class SmoothWeight:
     def axis_progression(self, i: int, step: float, n: int) -> np.ndarray:
         """axis_transform(i, j * step) for j = -n..n: with j = q b + r, b ~
         sqrt(n), e(-x j step) = e(-x q b step) e(-x r step), so two sqrt(n)-row
-        tables and one product replace n rows; v(-j) = conj(v(j)) exactly."""
+        tables and one product replace n rows.  Each table holds the powers of
+        one number per node, z = e(-x step) and z^b, filled by doubling from
+        one exp per node (the outer table starts at the quadrature weights);
+        v(-j) = conj(v(j)) exactly."""
         _, _, xs, wf = self._ax[i]
         b = math.isqrt(n) + 1
-        nq = n // b + 1
-        outer = np.exp(-2j * np.pi * np.multiply.outer(np.arange(0, nq * b, b) * step, xs))
-        inner = np.exp(-2j * np.pi * np.multiply.outer(np.arange(b) * step, xs))
-        v = ((outer * wf) @ inner.T).ravel()[: n + 1]
+        inner = _power_rows(np.exp(-2j * np.pi * step * xs), b, 1.0)
+        outer = _power_rows(np.exp(-2j * np.pi * (b * step) * xs), n // b + 1, wf)
+        v = (outer @ inner.T).ravel()[: n + 1]
         return np.concatenate((v[:0:-1].conj(), v))
 
     def _axis_scalar(self, i: int, u: float) -> complex:

@@ -72,6 +72,18 @@ def power_table(g: int, n: int, q: int) -> np.ndarray:
     return (runs[1][:, None] * runs[0] % q).ravel()[:n]
 
 
+def roots_of_unity(q: int) -> np.ndarray:
+    """e(n/q) for n = 0..q-1.  With n = b i + j and b ~ sqrt(q), the b
+    values e(j/q) and the q/b values e(b i/q) come from two short exp lists
+    and one outer product, as in power_table; the coarse list reads its
+    argument in (-q/2, q/2], where exp is most accurate.  roots[0] == 1."""
+    b = math.isqrt(q) + 1
+    coarse = np.arange(0, q, b)
+    coarse[2 * coarse > q] -= q
+    return (np.exp(2j * np.pi * coarse / q)[:, None]
+            * np.exp(2j * np.pi * np.arange(b) / q)).ravel()[:q]
+
+
 def dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(pw, dl) mod an odd prime p, for g = _primitive_root(p): pw[t] = g^t
     for t = 0..p-2 and dl[pw[t]] = t, so dl inverts pw on 1..p-1 (dl[0] = 0
@@ -309,8 +321,7 @@ def unit_twist(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, E): the units a mod q ascending (a = 0 when q = 1) and
     E[n, i] = e(n units[i] / q) for n = 0..q-1, so V @ E holds tau_a."""
     units = np.flatnonzero(char_group(q).unit_mask)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    return units, roots[np.outer(np.arange(q), units) % q]
+    return units, roots_of_unity(q)[np.outer(np.arange(q), units) % q]
 
 
 def gauss_sum_matrix(q: int) -> tuple[list[DirichletCharacter], np.ndarray, np.ndarray]:

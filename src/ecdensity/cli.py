@@ -10,6 +10,7 @@ height.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -215,6 +216,15 @@ def _check_lattices(cfg: RunConfig) -> None:
 # density
 
 
+def _timing_summary(rep) -> str:
+    """Stage seconds and P1 term counts of one report, for the stderr summary."""
+    parts = [f"{k}={rep.timings[k]:.3f}s" for k in
+             ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
+    parts += [f"{k}={rep.term_counts[k]}" for k in ("p1_terms", "p1_cells")
+              if k in rep.term_counts]
+    return " ".join(parts)
+
+
 def cmd_density(cfg: RunConfig) -> int:
     reports = []
     for x in cfg.x:
@@ -235,6 +245,7 @@ def cmd_density(cfg: RunConfig) -> int:
             _diag(f"warning: {w}")
         _diag(f"X={x:g} method={rep.method} assembled={rep.assembled:.6f} "
               f"predicted={rep.predicted:.6f} gap={rep.gap:.2e}")
+        _diag(f"X={x:g} " + _timing_summary(rep))
         reports.append(rep)
     csv_text = sweep_csv(reports)
     if cfg.out:
@@ -305,6 +316,15 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 # cache
 
 
+def _load_entry(path: Path):
+    """load_table for a cache entry, checking the prime its name promises;
+    a name that is not frob_p<p>.frbt counts as corrupt."""
+    m = re.fullmatch(r"frob_p([1-9][0-9]*)\.frbt", path.name)
+    if m is None:
+        raise TableFormatError(f"{path}: name does not follow frob_p<p>.frbt")
+    return load_table(path, int(m.group(1)))
+
+
 def cmd_cache(cfg: RunConfig, action: str) -> int:
     base = Path(cfg.cache_dir) if cfg.cache_dir else cache_dir()
     if action == "build":
@@ -319,7 +339,7 @@ def cmd_cache(cfg: RunConfig, action: str) -> int:
         total = 0
         for path in entries:
             try:
-                tab = load_table(path)
+                tab = _load_entry(path)
                 size = path.stat().st_size
                 total += size
                 _diag(f"p={tab.p} {size} bytes {path.name}")
@@ -331,7 +351,7 @@ def cmd_cache(cfg: RunConfig, action: str) -> int:
         removed = 0
         for path in entries:
             try:
-                load_table(path)
+                _load_entry(path)
             except (TableFormatError, OSError) as exc:
                 _diag(f"removing {path.name}: {exc}")
                 path.unlink(missing_ok=True)

@@ -29,7 +29,8 @@ default.  Only the kept cells with h >= 0 are built, as a staircase of row
 blocks whose phases are indexed by discrete logs; each built cell also
 serves row -h by conjugation (see _p1_poisson_term), so the p1_cells count
 of built cells is about half of p1_terms.  On a 2-core host P1 takes about
-0.9 s at X = 1e5 and 7 s at 1e6, against 1.2 s and 15 s building both signs
+0.5 s at X = 1e5 and 5 s at 1e6, against 0.75 s and 7.3 s with one complex
+exp per cell of the transform tables, 1.2 s and 15 s building both signs
 with a reduction mod p per cell, and 2.0 s and 40 s for the full (h, k)
 phase matrix.
 """
@@ -48,7 +49,8 @@ import numpy as np
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
 from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
-from .characters import DirichletCharacter, char_eval, character_table, dlog_table
+from .characters import (DirichletCharacter, char_eval, character_table, dlog_table,
+                         roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     TABLE_CAP,
@@ -279,10 +281,10 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
 
     va(-h) = conj va(h) exactly, so rows h and -h keep the same columns and
     have conjugate phases: row -h sums to conj(sum_k omega(h, k) conj c_k).
-    Only rows h >= 0 are built, and one product against (c, conj c) serves
-    both signs.  The phase of h^3 kbar^2 = g^(3 dl(h) - 2 dl(k)) is read from
-    a doubled table of g-powers by an integer sum, with one extra stretch of
-    ones for the rows h = 0 mod p and a 0 sentinel.  Columns go in stable
+    Only rows h >= 0 are cut and built, and one product against (c, conj c)
+    serves both signs.  The phase of h^3 kbar^2 = g^(3 dl(h) - 2 dl(k)) is
+    read from a doubled table of g-powers by an integer sum, with one extra
+    stretch of ones for the rows h = 0 mod p and a 0 sentinel.  Columns go in stable
     descending |vb| order and the non-empty rows in descending kept count, so
     the kept cells form a staircase; it is contracted in _P1_BLOCKS row
     blocks, each as wide as its widest row.  clock, when given, gains the
@@ -304,8 +306,8 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     va = wt.axis_progression(0, a_sc / p, hmax)
     vb = wt.axis_progression(1, b_sc / p, kmax)[keep]
     absb = np.abs(vb)
-    counts = _row_cuts(np.abs(va), absb, tol)
-    count = int(counts.sum())
+    half = _row_cuts(np.abs(va[hmax:]), absb, tol)  # rows h >= 0
+    count = 2 * int(half.sum()) - int(half[0])
     t1 = time.perf_counter()
     if clock is not None:
         clock[0] += t1 - t0
@@ -315,7 +317,6 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     kmod = k[cols] % p
     coeff = legendre_table(p).astype(np.float64)[kmod] * vb[cols]
     coeff = np.stack((coeff, coeff.conj()), 1)
-    half = counts[hmax:]
     rows = np.argsort(-half, kind="stable")[: np.count_nonzero(half)]
     va_neg = va[hmax::-1].copy()
     va_neg[0] = 0.0  # row h = 0 counts once
@@ -324,7 +325,7 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     hmod = np.arange(hmax + 1) % p
     ah = np.where(hmod == 0, 2 * (p - 1), 3 * dl[hmod] % (p - 1)).astype(np.int32)
     bk = (-2 * dl[kmod] % (p - 1)).astype(np.int32)
-    wpow = np.exp(-2j * np.pi * pw / p)
+    wpow = roots_of_unity(p).conj()[pw]
     omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
     s_p = 0.0j
     cells = 0
@@ -398,6 +399,18 @@ def p2_direct(f: FamilySpec) -> float:
     return acc.total
 
 
+def p2_predicted_over_w(f: FamilySpec) -> float:
+    """The P2/W that a complete-residue average predicts: lambda(p)^2 - p
+    averages -1 over (a, b) mod p, so P2/W is about
+    -sum phihat(2 log p/log X) 2 log p/(p^2 log X) over the P2 primes."""
+    lx = f.log_x
+    acc = _Neumaier()
+    for p in _p2_primes(f):
+        pref = float(f.phi.phihat(2.0 * math.log(p) / lx))
+        acc.add(-pref * 2.0 * math.log(p) / (p * p * lx))
+    return acc.total
+
+
 def conductor_term(f: FamilySpec) -> tuple[float, float, float]:
     """(C, C_lo, C_hi): weighted averages of log N / log X over the family,
     at the heuristic conductor and at both ends of its sensitivity band."""
@@ -437,6 +450,7 @@ class DensityReport:
     p2: float
     p1_over_w: float
     p2_over_w: float
+    p2_predicted_over_w: float
     c: float
     c_lo: float
     c_hi: float
@@ -498,6 +512,7 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
         p2=p2,
         p1_over_w=p1 / w,
         p2_over_w=p2 / w,
+        p2_predicted_over_w=p2_predicted_over_w(f),
         c=c,
         c_lo=c_lo,
         c_hi=c_hi,
@@ -539,6 +554,7 @@ def report_json(r: DensityReport) -> str:
         "P1_imag_leak": r.p1_imag_leak,
         "P1_over_W": r.p1_over_w,
         "P2_over_W": r.p2_over_w,
+        "P2_predicted_over_W": r.p2_predicted_over_w,
         "C_lo": r.c_lo,
         "C": r.c,
         "C_hi": r.c_hi,
@@ -677,7 +693,7 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
             q = k2 // d
             d0 = cube_kernel(d)
             chars, table = character_table(q)
-            taus = table @ np.exp(2j * np.pi * np.arange(q) / q)
+            taus = table @ roots_of_unity(q)
             factors = table[:, d0**3 // d % q].conj()
             for chi, tau, factor in zip(chars, taus, factors):
                 if factor == 0.0 or abs(tau) < 1e-15:

@@ -102,9 +102,13 @@ def test_axis_transform_against_quadrature():
             assert got == pytest.approx(complex(re, im), abs=1e-12)
 
 
-# n * step stays in the band |u| <= 41 where the quadrature is trusted
+# n * step stays in the band |u| <= 41 where the quadrature is trusted; the
+# last two are the widest progressions the pipeline builds, (A/p, hmax) at the
+# top P1 prime p = 15823 of X = 1e6 and at p = 79427 with A = 1e7^(1/3)
 @pytest.mark.parametrize("step, n", [(0.5, 0), (0.5, 1), (1.3, 15), (0.31, 7),
-                                     (0.1, 205), (0.0146, 1400), (0.0293, 1400)])
+                                     (0.1, 205), (0.0146, 1400), (0.0293, 1400),
+                                     (0.00631991404916893, 3243),
+                                     (0.0027124714392232907, 7557)])
 def test_axis_progression_matches_axis_transform(step, n):
     w = SmoothWeight((0.5, 1.0, 0.25, 2.0))
     j = np.arange(-n, n + 1)

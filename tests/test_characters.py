@@ -33,6 +33,7 @@ from ecdensity.characters import (
     principal_character,
     quadratic_gauss_bound_check,
     real_characters,
+    roots_of_unity,
     unit_group_basis,
 )
 
@@ -63,6 +64,21 @@ def test_dlog_table_is_a_power_permutation(rng):
         g = _primitive_root(p)
         for t in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(20)]:
             assert pw[t] == pow(g, t, p)
+
+
+def test_roots_of_unity_match_extended_precision():
+    # np.exp(2j pi n/q) is itself up to 1.3e-15 off at these q, so the
+    # reference is e(n/q) in long double, about 1e-18 accurate on x86
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double has no extra precision here")
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for q in [1, 2, 3, 7, 97, 1000, 4096, 15_823, 79_427]:
+        roots = roots_of_unity(q)
+        assert roots.shape == (q,) and roots[0] == 1
+        t = 2 * pi * np.arange(q, dtype=np.longdouble) / q
+        err = np.hypot(roots.real - np.cos(t), roots.imag - np.sin(t))
+        assert float(err.max()) <= 1e-15
+        assert np.abs(roots - np.exp(2j * np.pi * np.arange(q) / q)).max() <= 2e-15
 
 
 def test_dlog_mat_matches_loop_reference():

@@ -8,6 +8,7 @@ import pytest
 
 from ecdensity import cli
 from ecdensity.checks import IDENTITY_CHECKS
+from ecdensity.frobenius import lambda_table, save_table, table_path
 from ecdensity.cli import (
     ConfigError,
     RunConfig,
@@ -97,6 +98,23 @@ def test_density_writes_files(tmp_path, capsys):
     assert [r["X"] for r in blob] == [250.0, 500.0]
 
 
+def test_density_stderr_explains_timing(capsys):
+    rc = main(["density", "--x", "250", "--method", "poisson"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    summary, timing = captured.err.strip().splitlines()
+    assert summary.startswith("X=250 method=poisson assembled=")
+    assert timing.startswith("X=250 p1=")
+    keys = [part.split("=")[0] for part in timing.split()[1:]]
+    assert keys == ["p1", "p1_transform", "p1_contract", "p2", "conductor",
+                    "p1_terms", "p1_cells"]
+    # the CSV on stdout is the one sweep_csv writes
+    assert captured.out == cli.sweep_csv([cli.density_report(cli.family(250), "poisson")])
+    main(["density", "--x", "250", "--method", "direct"])
+    timing = capsys.readouterr().err.strip().splitlines()[1]
+    assert "p1_transform" not in timing and "p1_cells=" in timing
+
+
 def test_density_both_methods_cross_validate(capsys):
     rc = main(["density", "--x", "250", "--method", "both"])
     captured = capsys.readouterr()
@@ -167,6 +185,27 @@ def test_cache_build_stat_gc(tmp_path, capsys):
     assert rc == 0
     assert not victim.exists()
     assert len(list(cache.glob("*.frbt"))) == 22
+
+
+def test_cache_stat_gc_check_the_prime_in_the_name(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    save_table(lambda_table(37), table_path(37, cache))
+    save_table(lambda_table(29), table_path(31, cache))   # valid, wrong name
+    save_table(lambda_table(29), cache / "frob_pxx.frbt")  # name without a prime
+    rc = main(["cache", "stat", "--cache-dir", str(cache)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 0
+    assert lines[0].startswith("corrupt frob_p31.frbt:")
+    assert lines[0].endswith("holds the table for p=29, not 31")
+    assert lines[1].startswith("p=37 ") and lines[1].endswith(" frob_p37.frbt")
+    assert lines[2].startswith("corrupt frob_pxx.frbt:")
+    assert lines[3].startswith("3 entries, ")
+    rc = main(["cache", "gc", "--cache-dir", str(cache)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert "removed 2 corrupt entries" in err
+    assert [f.name for f in cache.glob("*.frbt")] == ["frob_p37.frbt"]
 
 
 # -- crosscheck ------------------------------------------------------------

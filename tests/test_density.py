@@ -39,6 +39,7 @@ from ecdensity.density import (
     p1_poisson,
     p1_single,
     p2_direct,
+    p2_predicted_over_w,
     p2_single,
     parse_zero_file,
     poisson_term_count,
@@ -267,6 +268,13 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
         assert poisson_term_count(f) == stats["terms"] == want
         # one built cell serves the rows h and -h
         assert 2 * stats["cells"] >= stats["terms"]
+
+
+def test_poisson_term_count_pinned():
+    # the dual term set: a transform or row-cut change that flips one kept
+    # (h, k) cell moves these counts
+    for x, want in ((1e3, 225_338), (1e4, 3_608_826), (1e5, 52_822_536)):
+        assert poisson_term_count(family(x)) == want
 
 
 def test_row_cuts_apply_the_exact_product_test():
@@ -502,6 +510,19 @@ def test_report_json_round_trip(fam_250):
     assert rep.term_counts["p1_cells"] == cells < rep.term_counts["p1_terms"]
     counts = blob["term_counts"]
     assert counts == dual.term_counts and 2 * counts["p1_cells"] >= counts["p1_terms"] > 0
+
+
+def test_p2_prediction_in_json_not_csv(fam_250):
+    # the complete-residue average of lambda^2 - p is -1; ROADMAP's table
+    # gives the prediction -1.26e-2 at X = 1e4 and -1.41e-2 at 1e5
+    assert p2_predicted_over_w(family(1e4)) == pytest.approx(-1.26e-2, rel=1e-2)
+    assert p2_predicted_over_w(family(1e5)) == pytest.approx(-1.41e-2, rel=1e-2)
+    rep = density_report(fam_250)
+    assert rep.p2_predicted_over_w == p2_predicted_over_w(fam_250) < 0
+    blob = json.loads(report_json(rep))
+    assert blob["P2_predicted_over_W"] == rep.p2_predicted_over_w
+    assert "P2_over_W" in blob
+    assert "predicted_over" not in sweep_csv([rep])
 
 
 # -- dyadic block and its character expansion ------------------------------
