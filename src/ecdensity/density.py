@@ -25,14 +25,16 @@ turning the inner double sum into
 whose (h, k) window shrinks with the transform decay of the weight.  Terms
 with |what| < tail_tol are dropped, so the routes differ by that truncation,
 not by rounding: 8.5e-5, 1.6e-4 and 4.0e-3 relative at X = 1e3, 1e4, 1e5 by
-default.  Only the kept cells with h >= 0 are built, as a staircase of row
-blocks whose phases are indexed by discrete logs; each built cell also
-serves row -h by conjugation (see _p1_poisson_term), so the p1_cells count
-of built cells is about half of p1_terms.  On a 2-core host P1 takes about
-0.5 s at X = 1e5 and 5 s at 1e6, against 0.75 s and 7.3 s with one complex
-exp per cell of the transform tables, 1.2 s and 15 s building both signs
-with a reduction mod p per cell, and 2.0 s and 40 s for the full (h, k)
-phase matrix.
+default.  Only the kept cells with h >= 0 and k > 0 are built, as a
+staircase of row blocks whose phases are indexed by discrete logs; each
+built cell, with one real coefficient per column, also serves -h and -k
+(see _p1_poisson_term), so the p1_cells count of built cells is about a
+quarter of p1_terms and every prime's term is real to the bit (p1_imag_leak
+is 0.0).  On a 2-core host P1 takes about 0.4 s at X = 1e5 and 3.6 s at
+1e6, against 0.5 s and 5 s building both k signs, 0.75 s and 7.3 s with
+one complex exp per cell of the transform tables, 1.2 s and 15 s building
+both h signs with a reduction mod p per cell, and 2.0 s and 40 s for the
+full (h, k) phase matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .frobenius import (
     lambda_p,
     lambda_p2,
     lambda_rows,
-    legendre_table,
 )
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
@@ -279,17 +280,22 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
                      clock: list | None = None) -> tuple[complex, int, int]:
     """(S_p, kept cells, phase cells built) of the dual (h, k) block at p.
 
-    va(-h) = conj va(h) exactly, so rows h and -h keep the same columns and
-    have conjugate phases: row -h sums to conj(sum_k omega(h, k) conj c_k).
-    Only rows h >= 0 are cut and built, and one product against (c, conj c)
-    serves both signs.  The phase of h^3 kbar^2 = g^(3 dl(h) - 2 dl(k)) is
-    read from a doubled table of g-powers by an integer sum, with one extra
-    stretch of ones for the rows h = 0 mod p and a 0 sentinel.  Columns go in stable
-    descending |vb| order and the non-empty rows in descending kept count, so
-    the kept cells form a staircase; it is contracted in _P1_BLOCKS row
-    blocks, each as wide as its widest row.  clock, when given, gains the
-    seconds of the progressions and row cuts in clock[0] and of the phase
-    tables and block loop in clock[1]."""
+    The block folds over both signs.  va(-h) = conj va(h) and vb(-k) =
+    conj vb(k) exactly, so the four cells (+-h, +-k) keep or drop together;
+    the phase e(-h^3 kbar^2/p) is even in k and conjugates under h -> -h; and
+    (-k/p) = (-1/p) (k/p).  So only h >= 0, k > 0 are cut and built, and
+    columns k, -k merge into one real coefficient r_k: with (k/p) = (-1)^dl(k),
+    r_k = 2 (k/p) Re vb(k) and S_p real when p = 1 (mod 4), r_k = 2 (k/p)
+    Im vb(k) and S_p = i times a real sum when p = 3 (mod 4).  Each row gives
+    R_h = sum_k omega(h, k) r_k, and rows h, -h add up to Re(u_h R_h) with
+    u_h = 2 va(h), u_0 = va(0).  The phase of h^3 kbar^2 = g^(3 dl(h) -
+    2 dl(k)) is read from a doubled table of g-powers by an integer sum, with
+    one extra stretch of ones for the rows h = 0 mod p and a 0 sentinel.
+    Columns go in stable descending |vb| order and the non-empty rows in
+    descending kept count, so the kept cells form a staircase; it is
+    contracted in _P1_BLOCKS row blocks, each as wide as its widest row.
+    clock, when given, gains the seconds of the progressions and row cuts in
+    clock[0] and of the phase tables and block loop in clock[1]."""
     t0 = time.perf_counter()
     a_sc, b_sc = f.a_scale, f.b_scale
     wt = f.weight
@@ -298,47 +304,49 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     r1 = wt.radius(1, tol / m0)
     hmax = int(r0 * p / a_sc)
     kmax = int(r1 * p / b_sc)
-    k = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    k = np.arange(1, kmax + 1, dtype=np.int64)
     keep = k % p != 0  # (k/p) = 0 there, exactly
     k = k[keep]
     if k.size == 0:
         return 0.0j, 0, 0
-    va = wt.axis_progression(0, a_sc / p, hmax)
-    vb = wt.axis_progression(1, b_sc / p, kmax)[keep]
+    va = wt.axis_progression(0, a_sc / p, hmax)[hmax:]  # rows h >= 0
+    vb = wt.axis_progression(1, b_sc / p, kmax)[kmax + 1:][keep]  # columns k > 0
     absb = np.abs(vb)
-    half = _row_cuts(np.abs(va[hmax:]), absb, tol)  # rows h >= 0
-    count = 2 * int(half.sum()) - int(half[0])
+    cuts = _row_cuts(np.abs(va), absb, tol)
+    count = 4 * int(cuts.sum()) - 2 * int(cuts[0])
     t1 = time.perf_counter()
     if clock is not None:
         clock[0] += t1 - t0
     if count_only or count == 0:
         return 0.0j, count, 0
     cols = np.argsort(-absb, kind="stable")
-    kmod = k[cols] % p
-    coeff = legendre_table(p).astype(np.float64)[kmod] * vb[cols]
-    coeff = np.stack((coeff, coeff.conj()), 1)
-    rows = np.argsort(-half, kind="stable")[: np.count_nonzero(half)]
-    va_neg = va[hmax::-1].copy()
-    va_neg[0] = 0.0  # row h = 0 counts once
-    # indices into omega stay below 3p, so int32 holds; 3(p - 1) is the sentinel
     pw, dl = dlog_table(p)
+    dk = dl[k[cols] % p]
+    imag = p % 4 == 3  # (-1/p) = -1, so S_p is i times a real sum
+    vk = vb[cols].imag if imag else vb[cols].real
+    coeff = np.where(dk & 1, -2.0, 2.0) * vk
+    rows = np.argsort(-cuts, kind="stable")[: np.count_nonzero(cuts)]
+    u = 2.0 * va
+    u[0] = va[0]  # row h = 0 counts once
+    # indices into omega stay below 3p, so int32 holds; 3(p - 1) is the sentinel
     hmod = np.arange(hmax + 1) % p
     ah = np.where(hmod == 0, 2 * (p - 1), 3 * dl[hmod] % (p - 1)).astype(np.int32)
-    bk = (-2 * dl[kmod] % (p - 1)).astype(np.int32)
+    bk = (-2 * dk % (p - 1)).astype(np.int32)
     wpow = roots_of_unity(p).conj()[pw]
     omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
-    s_p = 0.0j
+    s_p = 0.0
     cells = 0
-    for r in np.array_split(rows, min(_P1_BLOCKS, rows.size)):
-        width, low = int(half[r[0]]), int(half[r[-1]])
+    n, nblk = rows.size, min(_P1_BLOCKS, rows.size)
+    for j in range(nblk):
+        r = rows[j * n // nblk : (j + 1) * n // nblk]
+        width, low = int(cuts[r[0]]), int(cuts[r[-1]])
         phase = np.add.outer(ah[r], bk[:width])
-        np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= half[r, None])
-        out = omega.take(phase) @ coeff[:width]
-        s_p += complex(va[hmax + r] @ out[:, 0] + va_neg[r] @ out[:, 1].conj())
+        np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= cuts[r, None])
+        s_p += float((u[r] @ (omega.take(phase) @ coeff[:width])).real)
         cells += phase.size
     if clock is not None:
         clock[1] += time.perf_counter() - t1
-    return s_p, count, cells
+    return complex(0.0, s_p) if imag else complex(s_p), count, cells
 
 
 def p1_poisson(f: FamilySpec, tail_tol: float | None = None,

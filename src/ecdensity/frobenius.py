@@ -45,20 +45,23 @@ def legendre_table(p: int) -> np.ndarray:
     return ls
 
 
-def inverse_table(p: int) -> np.ndarray:
-    """inv[k] = k^{-1} mod p for 1 <= k < p (inv[0] = 0), as k^(p-2) by
-    square-and-multiply on int64 arrays; p < 2^31 keeps products exact."""
-    _check_p(p)
-    base = np.arange(p, dtype=np.int64)
-    inv = np.ones(p, dtype=np.int64)
-    e = p - 2
+def _pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """base^e mod p elementwise, by square-and-multiply on int64 arrays;
+    p < 2^31 keeps products exact."""
+    base = np.asarray(base, dtype=np.int64) % p
+    out = np.ones_like(base)
     while e:
         if e & 1:
-            inv = inv * base % p
+            out = out * base % p
         base = base * base % p
         e >>= 1
-    inv[0] = 0
-    return inv
+    return out
+
+
+def inverse_table(p: int) -> np.ndarray:
+    """inv[k] = k^{-1} mod p for 1 <= k < p (inv[0] = 0), as k^(p-2)."""
+    _check_p(p)
+    return _pow_mod(np.arange(p), p - 2, p)
 
 
 def lambda_p(a: int, b: int, p: int) -> int:
@@ -122,12 +125,11 @@ def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     root = np.ones(p, dtype=np.int64)
     row[sq], root[sq] = 1, d
     row[g * sq % p], root[g * sq % p] = 2, d
-    inv = inverse_table(p)[root]
-    dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
-    step = (inv * inv % p * inv % p).astype(dt)
     a = np.asarray(alphas, dtype=np.int64) % p
+    dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
+    step = _pow_mod(root[a], p - 4, p).astype(dt)  # d^-3 = d^(p-4), only where read
     b = (np.asarray(betas, dtype=np.int64) % p).astype(dt)
-    cols = b[None, :] * step[a][:, None] % p
+    cols = b[None, :] * step[:, None] % p
     return base[row[a][:, None], cols] * ls[root[a]][:, None].astype(np.int16)
 
 

@@ -266,14 +266,15 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
         stats = {}
         p1_poisson(f, stats=stats)
         assert poisson_term_count(f) == stats["terms"] == want
-        # one built cell serves the rows h and -h
-        assert 2 * stats["cells"] >= stats["terms"]
+        # one built cell serves the four cells (+-h, +-k)
+        assert 4 * stats["cells"] >= stats["terms"]
 
 
 def test_poisson_term_count_pinned():
     # the dual term set: a transform or row-cut change that flips one kept
-    # (h, k) cell moves these counts
-    for x, want in ((1e3, 225_338), (1e4, 3_608_826), (1e5, 52_822_536)):
+    # (h, k) cell moves these counts; 1e6 holds the widest staircases
+    for x, want in ((1e3, 225_338), (1e4, 3_608_826), (1e5, 52_822_536),
+                    (1e6, 847_424_990)):
         assert poisson_term_count(family(x)) == want
 
 
@@ -294,7 +295,7 @@ def test_row_cuts_apply_the_exact_product_test():
 def _dense_dual_term(f, p):
     """The dual (h, k) block at p by the per-point transform and a dense
     complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept
-    cells, their count, and the count of those with h >= 0."""
+    cells, their count, and the count of those with h >= 0 and k > 0."""
     wt, tol = f.weight, f.tail_tol
     hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
     kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
@@ -308,7 +309,7 @@ def _dense_dual_term(f, p):
     mat = np.exp(-2j * np.pi * (np.outer(h3, kinv2) % p) / p)
     sym = np.array([_leg(int(x), p) for x in k])
     return (complex(va @ ((mat * mask) @ (sym * vb))), int(mask.sum()),
-            int(mask[h >= 0].sum()))
+            int(mask[h >= 0][:, k > 0].sum()))
 
 
 @pytest.mark.parametrize("x, p, tail_tol", [
@@ -323,9 +324,9 @@ def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
     got, n, cells = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
-    want, want_n, want_half = _dense_dual_term(f, p)
+    want, want_n, want_quarter = _dense_dual_term(f, p)
     assert n == want_n > 0
-    assert cells >= want_half  # rows h < 0 come from the rows h > 0
+    assert cells >= want_quarter  # cells with h < 0 or k < 0 come from h >= 0, k > 0
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
 
@@ -343,6 +344,26 @@ def test_dual_row_counts_are_mirror_symmetric(x):
         counts = _row_cuts(np.abs(va), np.abs(vb), tol)
         assert counts.size == 2 * hmax + 1
         assert np.array_equal(counts, counts[::-1])
+
+
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_dual_columns_fold_over_k(x):
+    # the fold builds columns k > 0 only; it needs vb(-k) to be conj vb(k) to
+    # the bit and every row to keep as many columns -k as columns k
+    f = family(x)
+    wt, tol = f.weight, f.tail_tol
+    for p in _p1_primes(f):
+        hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
+        kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+        k = np.arange(-kmax, kmax + 1)
+        va = wt.axis_progression(0, f.a_scale / p, hmax)
+        vb = wt.axis_progression(1, f.b_scale / p, kmax)
+        pos, neg = vb[kmax + 1:], vb[:kmax][::-1]
+        assert np.array_equal(np.ascontiguousarray(neg).view(np.int64),
+                              pos.conj().view(np.int64))
+        both = _row_cuts(np.abs(va), np.abs(vb[k % p != 0]), tol)
+        half = _row_cuts(np.abs(va), np.abs(pos[k[kmax + 1:] % p != 0]), tol)
+        assert np.array_equal(both, 2 * half)
 
 
 def test_dual_report_splits_the_p1_timing(fam_250):
@@ -509,7 +530,7 @@ def test_report_json_round_trip(fam_250):
                 if math.log(p) / lx < 0.7)
     assert rep.term_counts["p1_cells"] == cells < rep.term_counts["p1_terms"]
     counts = blob["term_counts"]
-    assert counts == dual.term_counts and 2 * counts["p1_cells"] >= counts["p1_terms"] > 0
+    assert counts == dual.term_counts and 4 * counts["p1_cells"] >= counts["p1_terms"] > 0
 
 
 def test_p2_prediction_in_json_not_csv(fam_250):
