@@ -14,11 +14,11 @@ from ecdensity import family, p1_direct, p1_poisson
 from ecdensity.density import direct_term_count, poisson_term_count
 
 for x in (1e3, 1e4):
-    f = family(x)
+    f = family(x, tail_tol=1e-14)
     t0 = time.perf_counter()
     direct = p1_direct(f)
     t1 = time.perf_counter()
-    dual = p1_poisson(f, tail_tol=1e-14)
+    dual = p1_poisson(f)
     t2 = time.perf_counter()
     print(f"X={x:.0e}  direct={direct:+.12e} ({t1 - t0:.2f}s)")
     print(f"         dual  ={dual:+.12e} ({t2 - t1:.2f}s)")

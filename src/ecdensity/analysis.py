@@ -10,15 +10,17 @@ so phi(0) = nu and phihat(0) = 1.  Family weights are tensor products of the
 C-infinity bump u(t) = exp(-1/(t(1-t))) scaled to a box; their transforms
 are a fixed 256-node Gauss-Legendre sum per axis, at single points or on a
 whole progression by one factored product of two power tables (one complex
-exp per node and table, the rest by doubling), with a one-time FFT magnitude
-profile per axis supplying certified truncation radii for lattice sums (the
-quadrature itself is only trusted inside the profiled band).
+exp per node and table, the rest by doubling), with the FFT magnitude
+profile of the unit bump, built once per process and scaled to each axis,
+supplying certified truncation radii for lattice sums (the quadrature
+itself is only trusted inside the profiled band).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +137,17 @@ _PROFILE_SAMPLES = 1 << 16
 _PROFILE_BINS = 4096
 
 
+@cache
+def _unit_bump_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Gauss-Legendre nodes, weights, |FFT| of the unit bump sampled at
+    _PROFILE_SAMPLES midpoints with 4x zero-padding, first 4 _PROFILE_BINS
+    bins), shared by every SmoothWeight and built on first use."""
+    g, w = leggauss(GL_NODES)
+    m = _PROFILE_SAMPLES
+    samples = bump((np.arange(m) + 0.5) / m)
+    return g, w, np.abs(np.fft.fft(samples, n=4 * m))[: 4 * _PROFILE_BINS]
+
+
 class SmoothWeight:
     """Tensor-product bump weight on a box, with transform and truncation data.
 
@@ -151,7 +164,7 @@ class SmoothWeight:
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate box {box}")
         self.box = tuple(float(t) for t in box)
-        g, w = leggauss(GL_NODES)
+        g, w, _ = _unit_bump_constants()
         self._ax = []
         self._env = []
         for lo, hi in ((x0, x1), (y0, y1)):
@@ -170,9 +183,7 @@ class SmoothWeight:
         # on nulls and understate between-bin peaks.  The residual off-bin
         # rise is below sec(pi/8) ~ 1.09; fold it into a 1.15 margin.
         s = hi - lo
-        m = _PROFILE_SAMPLES
-        samples = bump((np.arange(m) + 0.5) / m)
-        mags = s * np.abs(np.fft.fft(samples, n=4 * m))[: 4 * _PROFILE_BINS] / m
+        mags = s * _unit_bump_constants()[2] / _PROFILE_SAMPLES
         env = 1.15 * np.maximum.accumulate(mags[::-1])[::-1]
         return 1.0 / (4.0 * s), env  # frequency step in u, envelope values
 

@@ -140,8 +140,7 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError("curve axes must be 1-D")
     a = np.repeat(na, nb.size)
     b = np.tile(nb, na.size)
-    core = 4 * a**3 + 27 * b**2
-    if np.any(core == 0):
+    if np.any(4 * a**3 + 27 * b**2 == 0):
         raise ValueError("singular curve in batch")
     # remove u^4 | a, u^6 | b: p^4 <= |a| when a != 0, p^6 <= |b| when a = 0
     amax = int(np.abs(na).max()) if na.size else 0
@@ -155,11 +154,10 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
                 break
             a[m] //= p4
             b[m] //= p6
-    d = np.abs(4 * a**3 + 27 * b**2)  # |disc| / 16
+    rem = np.abs(4 * a**3 + 27 * b**2)  # |disc| / 16, divided down below
     v2 = np.zeros(a.shape, dtype=np.int64)
     v3 = np.zeros(a.shape, dtype=np.int64)
     log_odd = np.zeros(a.shape, dtype=np.float64)
-    rem = d.copy()
     # v2 of disc = 4 + v2(d); the factor 16 never meets the p >= 5 part
     for _ in range(64):
         m = rem % 2 == 0

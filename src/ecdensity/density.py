@@ -31,10 +31,12 @@ built cell, with one real coefficient per column, also serves -h and -k
 (see _p1_poisson_term), so the p1_cells count of built cells is about a
 quarter of p1_terms and every prime's term is real to the bit (p1_imag_leak
 is 0.0).  On a 2-core host P1 takes about 0.4 s at X = 1e5 and 3.6 s at
-1e6, against 0.5 s and 5 s building both k signs, 0.75 s and 7.3 s with
-one complex exp per cell of the transform tables, 1.2 s and 15 s building
-both h signs with a reduction mod p per cell, and 2.0 s and 40 s for the
-full (h, k) phase matrix.
+1e6.
+
+Both routes and P2 read their primes and weights
+w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
+every sum over primes is math.fsum, correctly rounded, so no value depends
+on the order or grouping of its terms.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     TABLE_CAP,
     get_table,
-    inverse_table,
     lambda_p,
     lambda_p2,
     lambda_rows,
@@ -71,28 +72,6 @@ _P1_BLOCKS = 8
 # two-process pool lost to the serial loop at X = 1e3 and 1e4 (sums 1,588 and
 # 32,348) and won from about X = 5e4 (sum 261,217)
 _P1_POOL_WORK = 200_000
-
-
-class _Neumaier:
-    """Compensated accumulator; addition order fixes the result bit-for-bit."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float):
-        t = self.s + v
-        if abs(self.s) >= abs(v):
-            self.c += (self.s - t) + v
-        else:
-            self.c += (v - t) + self.s
-        self.s = t
-
-    @property
-    def total(self) -> float:
-        return self.s + self.c
 
 
 @dataclass
@@ -176,18 +155,18 @@ def scaled_mass(f: FamilySpec) -> float:
 # prime ranges
 
 
-def _p1_primes(f: FamilySpec) -> list[int]:
-    limit = int(f.x ** float(f.nu)) + 2
+def _prime_weights(f: FamilySpec, k: int) -> tuple[list[int], list[float]]:
+    """(primes, weights) of the degree-k prime sum (k = 1 for P1, 2 for P2):
+    the primes 3 < p <= int(X^(nu/k)) + 2 with phihat(k log p/log X) > 0, and
+    w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) for each."""
+    ps = np.array([p for p in sieve_primes(int(f.x ** (float(f.nu) / k)) + 2) if p > 3],
+                  dtype=np.int64)
+    lp = np.array([math.log(p) for p in ps.tolist()])
     lx = f.log_x
-    return [p for p in sieve_primes(limit)
-            if p > 3 and float(f.phi.phihat(math.log(p) / lx)) > 0.0]
-
-
-def _p2_primes(f: FamilySpec) -> list[int]:
-    limit = int(f.x ** (float(f.nu) / 2.0)) + 2
-    lx = f.log_x
-    return [p for p in sieve_primes(limit)
-            if p > 3 and float(f.phi.phihat(2.0 * math.log(p) / lx)) > 0.0]
+    ph = f.phi.phihat(k * lp / lx)
+    keep = ph > 0.0
+    w = ph[keep] * 2.0 * lp[keep] / (ps[keep] ** k * lx)
+    return ps[keep].tolist(), w.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -211,51 +190,48 @@ def _lattice_block(f: FamilySpec, p: int, na: np.ndarray, wa: np.ndarray,
     return sa[ares], lam.astype(np.float64), sb[bres]
 
 
-def _p1_direct_chunk(f: FamilySpec, ps: list[int]) -> tuple[float, int]:
-    """(sum of the P1 terms over ps, cells contracted)."""
+def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]]) -> tuple[list[float], int]:
+    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, cells contracted)."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    lx = f.log_x
-    acc = _Neumaier()
+    terms = []
     cells = 0
-    for p in ps:
+    for p, w in pairs:
         u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
-        pref = float(f.phi.phihat(math.log(p) / lx)) * 2.0 * math.log(p) / (p * lx)
-        acc.add(pref * float(u @ lam @ v))
+        terms.append(w * float(u @ lam @ v))
         cells += lam.size
-    return acc.total, cells
+    return terms, cells
 
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
-    """P1 by residue-block contraction per prime (deterministic prime order)."""
-    primes = _p1_primes(f)
-    chunks = [primes[i : i + _P1_CHUNK] for i in range(0, len(primes), _P1_CHUNK)]
+    """P1 by residue-block contraction per prime, in chunks of _P1_CHUNK
+    primes, across a process pool when threads > 1 and the work is large."""
+    primes, weights = _prime_weights(f, 1)
+    pairs = list(zip(primes, weights))
+    chunks = [pairs[i : i + _P1_CHUNK] for i in range(0, len(pairs), _P1_CHUNK)]
     if f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK:
         with ProcessPoolExecutor(max_workers=f.threads) as ex:
             parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks))
     else:
         parts = [_p1_direct_chunk(f, c) for c in chunks]
-    acc = _Neumaier()
-    for v, _ in parts:
-        acc.add(v)
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = direct_term_count(f)
         stats["cells"] = sum(c for _, c in parts)
-    return acc.total
+    return math.fsum(t for terms, _ in parts for t in terms)
 
 
 def direct_term_count(f: FamilySpec) -> int:
     """Summand count of the direct route over the full residue grid, p^2 per
     prime.  The route contracts only the residues the lattice hits; p1_direct
     reports that count as stats["cells"]."""
-    return sum(p * p for p in _p1_primes(f))
+    return sum(p * p for p in _prime_weights(f, 1)[0])
 
 
 def cached_primes(f: FamilySpec) -> list[int]:
     """The primes whose residue tables the pipeline reads from f.cache_dir:
     the P1 primes up to TABLE_CAP (the P2 primes are among them)."""
-    return [p for p in _p1_primes(f) if p <= TABLE_CAP]
+    return [p for p in _prime_weights(f, 1)[0] if p <= TABLE_CAP]
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +325,25 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     return complex(0.0, s_p) if imag else complex(s_p), count, cells
 
 
-def p1_poisson(f: FamilySpec, tail_tol: float | None = None,
-               stats: dict | None = None) -> float:
+def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     """P1 through the per-prime dual-lattice identity; exact up to the
-    (h, k) truncation at tail_tol on |what|."""
-    tol = f.tail_tol if tail_tol is None else tail_tol
+    (h, k) truncation at f.tail_tol on |what|.  The prefactor keeps its own
+    phihat(log p/log X) (2 log p/p^{3/2}) rather than w_1(p) log X/sqrt(p),
+    equal in exact arithmetic but not to the last bit."""
     lx = f.log_x
-    acc_re = _Neumaier()
-    acc_im = _Neumaier()
+    re, im = [], []
     terms = cells = 0
     clock = [0.0, 0.0]
-    primes = _p1_primes(f)
+    primes = _prime_weights(f, 1)[0]
     for p in primes:
-        s_p, n, c = _p1_poisson_term(f, p, tol, count_only=False, clock=clock)
+        s_p, n, c = _p1_poisson_term(f, p, f.tail_tol, count_only=False, clock=clock)
         terms += n
         cells += c
         w1 = float(f.phi.phihat(math.log(p) / lx))
-        pref = psi4(p) * (2.0 * math.log(p) / p**1.5) * w1
-        v = pref * s_p
-        acc_re.add(v.real)
-        acc_im.add(v.imag)
-    total = -(f.a_scale * f.b_scale / lx) * complex(acc_re.total, acc_im.total)
+        v = psi4(p) * (2.0 * math.log(p) / p**1.5) * w1 * s_p
+        re.append(v.real)
+        im.append(v.imag)
+    total = -(f.a_scale * f.b_scale / lx) * complex(math.fsum(re), math.fsum(im))
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = terms
@@ -379,14 +353,10 @@ def p1_poisson(f: FamilySpec, tail_tol: float | None = None,
     return total.real
 
 
-def poisson_term_count(f: FamilySpec, tail_tol: float | None = None) -> int:
+def poisson_term_count(f: FamilySpec) -> int:
     """Summand count of the dual route without evaluating the sums."""
-    tol = f.tail_tol if tail_tol is None else tail_tol
-    total = 0
-    for p in _p1_primes(f):
-        _, n, _ = _p1_poisson_term(f, p, tol, count_only=True)
-        total += n
-    return total
+    return sum(_p1_poisson_term(f, p, f.tail_tol, count_only=True)[1]
+               for p in _prime_weights(f, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +367,18 @@ def p2_direct(f: FamilySpec) -> float:
     """P2 over p < X^(nu/2), with lambda(p^2) = lambda(p)^2 - p throughout."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    lx = f.log_x
-    acc = _Neumaier()
-    for p in _p2_primes(f):
+    terms = []
+    for p, w in zip(*_prime_weights(f, 2)):
         u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
-        inner = float(u @ (lam * lam - p) @ v)
-        pref = float(f.phi.phihat(2.0 * math.log(p) / lx))
-        acc.add(pref * 2.0 * math.log(p) / (p * p * lx) * inner)
-    return acc.total
+        terms.append(w * float(u @ (lam * lam - p) @ v))
+    return math.fsum(terms)
 
 
 def p2_predicted_over_w(f: FamilySpec) -> float:
     """The P2/W that a complete-residue average predicts: lambda(p)^2 - p
     averages -1 over (a, b) mod p, so P2/W is about
     -sum phihat(2 log p/log X) 2 log p/(p^2 log X) over the P2 primes."""
-    lx = f.log_x
-    acc = _Neumaier()
-    for p in _p2_primes(f):
-        pref = float(f.phi.phihat(2.0 * math.log(p) / lx))
-        acc.add(-pref * 2.0 * math.log(p) / (p * p * lx))
-    return acc.total
+    return -math.fsum(_prime_weights(f, 2)[1])
 
 
 def conductor_term(f: FamilySpec) -> tuple[float, float, float]:
@@ -609,7 +571,6 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
         gp = float(g(p / p_size))
         if gp == 0.0:
             continue
-        inv = inverse_table(p)
         cp = math.log(p) / p**1.5 * psi4(p) * gp
         for k in ks:
             if k % p == 0:
@@ -618,7 +579,7 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
             if gk == 0.0:
                 continue
             lk = legendre(int(k), p)
-            kinv2 = int(inv[k % p]) ** 2 % p
+            kinv2 = pow(int(k), -2, p)
             for h in hs:
                 gh = float(g(h / h_size))
                 if gh == 0.0:
@@ -717,21 +678,11 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
 
 
 def p1_single(a: int, b: int, f: FamilySpec) -> float:
-    lx = f.log_x
-    acc = _Neumaier()
-    for p in _p1_primes(f):
-        w1 = float(f.phi.phihat(math.log(p) / lx))
-        acc.add(lambda_p(a, b, p) * w1 * 2.0 * math.log(p) / (p * lx))
-    return acc.total
+    return math.fsum(lambda_p(a, b, p) * w for p, w in zip(*_prime_weights(f, 1)))
 
 
 def p2_single(a: int, b: int, f: FamilySpec) -> float:
-    lx = f.log_x
-    acc = _Neumaier()
-    for p in _p2_primes(f):
-        w2 = float(f.phi.phihat(2.0 * math.log(p) / lx))
-        acc.add(lambda_p2(a, b, p) * w2 * 2.0 * math.log(p) / (p * p * lx))
-    return acc.total
+    return math.fsum(lambda_p2(a, b, p) * w for p, w in zip(*_prime_weights(f, 2)))
 
 
 @dataclass(frozen=True)
@@ -845,11 +796,8 @@ def explicit_formula_crosscheck(zl: ZeroList, a: int, b: int, f: FamilySpec,
         req *= 1.5
     if tail > 0.1 * budget:
         raise ZeroListTooShort(zl.height, req)
-    lhs_acc = _Neumaier()
-    for g in zl.gammas:
-        mult = 1.0 if g < 1e-12 else 2.0
-        lhs_acc.add(mult * float(f.phi.phi(g * scale)))
-    lhs = lhs_acc.total
+    lhs = math.fsum((1.0 if g < 1e-12 else 2.0) * float(f.phi.phi(g * scale))
+                    for g in zl.gammas)
     p1 = p1_single(a, b, f)
     p2 = p2_single(a, b, f)
     base = 0.5 * f.phi.phi0 - p1 - p2

@@ -6,10 +6,12 @@ residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
 Residue rows come from one evaluator, lambda_rows: three length-p Legendre
-correlations per prime (rows 0, 1 and g, the least non-residue), and every
-other row by the quadratic twist lambda(d^2 alpha, d^3 beta) =
-(d/p) lambda(alpha, beta) (Silverman, AEC III.1) as one integer gather, so a
-full table costs three correlations plus O(p^2).
+correlations per prime (rows 0, 1 and g, the primitive root of
+characters.dlog_table), and every other row by the quadratic twist
+lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta) (Silverman, AEC
+III.1) as one integer gather, so a full table costs three correlations plus
+O(p^2).  The one discrete-log table mod p supplies everything mod p the rows
+need: the Legendre sequence, the twist d and its (d/p), and d^-3.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import is_prime, legendre, mod_inverse, psi4
+from .characters import dlog_table
 
 TABLE_MAGIC = b"FRBT"
 TABLE_VERSION = 2
@@ -43,25 +46,6 @@ def legendre_table(p: int) -> np.ndarray:
     x = np.arange(1, p, dtype=np.int64)
     ls[(x * x) % p] = 1
     return ls
-
-
-def _pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    """base^e mod p elementwise, by square-and-multiply on int64 arrays;
-    p < 2^31 keeps products exact."""
-    base = np.asarray(base, dtype=np.int64) % p
-    out = np.ones_like(base)
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
-def inverse_table(p: int) -> np.ndarray:
-    """inv[k] = k^{-1} mod p for 1 <= k < p (inv[0] = 0), as k^(p-2)."""
-    _check_p(p)
-    return _pow_mod(np.arange(p), p - 2, p)
 
 
 def lambda_p(a: int, b: int, p: int) -> int:
@@ -104,12 +88,15 @@ def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     Rows c = 0, 1, g are the FFT correlation -sum_t counts_c[t] ((t + beta)/p)
     of the value counts of x^3 + c x, exact after rounding (|lambda| < 2 sqrt(p)
     << the double mantissa; the audits catch a failure).  Any other row
-    alpha = c d^2, c in {1, g}, 1 <= d <= (p-1)/2, is read off as
-    lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p).
+    alpha = g^t is c d^2 with c = g^(t mod 2) and d = g^floor(t/2), so it is
+    read off as lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
+    (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
     """
     _check_p(p)
-    ls = legendre_table(p)
-    g = int(np.argmax(ls == -1))
+    pw, dl = dlog_table(p)
+    ls = np.where(dl & 1, -1, 1).astype(np.int8)  # (t/p) = (-1)^dl(t)
+    ls[0] = 0
+    g = int(pw[1])
     x = np.arange(p, dtype=np.int64)
     cubes = x * x % p * x % p
     counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p)
@@ -118,19 +105,18 @@ def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     base = -np.rint(np.fft.ifft(spec, axis=1).real)
     _audit(base, p)
     base = base.astype(np.int16)
-    # alpha = c d^2 -> (base row of c, d); alpha = 0 reads row 0 with d = 1
-    d = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    sq = d * d % p
-    row = np.zeros(p, dtype=np.int64)
-    root = np.ones(p, dtype=np.int64)
-    row[sq], root[sq] = 1, d
-    row[g * sq % p], root[g * sq % p] = 2, d
+    # alpha = g^t -> base row 1 + (t & 1), twist d = g^(t >> 1); alpha = 0
+    # reads row 0 with d = 1 (dl[0] = 0)
     a = np.asarray(alphas, dtype=np.int64) % p
+    t = dl[a]
+    row = np.where(a == 0, 0, 1 + (t & 1))
+    half = t >> 1
     dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
-    step = _pow_mod(root[a], p - 4, p).astype(dt)  # d^-3 = d^(p-4), only where read
+    step = pw[-3 * half % (p - 1)].astype(dt)
     b = (np.asarray(betas, dtype=np.int64) % p).astype(dt)
     cols = b[None, :] * step[:, None] % p
-    return base[row[a][:, None], cols] * ls[root[a]][:, None].astype(np.int16)
+    sign = np.where(half & 1, -1, 1).astype(np.int16)
+    return base[row[:, None], cols] * sign[:, None]
 
 
 def lambda_table(p: int) -> FrobTable:

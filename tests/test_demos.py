@@ -1,4 +1,4 @@
-"""The demos import only names that exist; the quick character demo also runs."""
+"""The demos import only names that exist; the quick ones also run."""
 
 import ast
 import importlib
@@ -24,9 +24,12 @@ def test_demo_imports_resolve():
 
 
 def test_character_demo_runs():
-    # the slower demos stay import-checked only
+    # the quick demos also run, which catches a removed keyword argument the
+    # import check cannot see; the slower demos stay import-checked only
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / "04_characters.py")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip()
+    for name in ("01_density_sweep.py", "02_dual_paths.py", "04_characters.py",
+                 "08_zero_crosscheck.py"):
+        run = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, f"{name}: {run.stderr}"
+        assert run.stdout.strip(), name

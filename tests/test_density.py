@@ -4,6 +4,7 @@ The brute-force oracles here are pure Python (pow-based symbols, explicit
 loops) so they share no code with the vectorized paths they certify.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,8 @@ from ecdensity.density import (
     _axis_lattice,
     _lattice_block,
     _p1_poisson_term,
-    _p1_primes,
+    _prime_weights,
+    _p1_direct_chunk,
     _row_cuts,
     check_lattice,
     conductor_term,
@@ -188,8 +190,8 @@ def test_lattice_block_matches_full_table(x, picks, tmp_path):
     cached = family(x, cache_dir=str(tmp_path))
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    primes = _p1_primes(f) if picks is None else picks
-    assert picks is None or set(picks) <= set(_p1_primes(f))
+    primes = _prime_weights(f, 1)[0] if picks is None else picks
+    assert picks is None or set(picks) <= set(_prime_weights(f, 1)[0])
     for p in primes:
         u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
         want1, want2 = _full_table_terms(f, p)
@@ -201,8 +203,13 @@ def test_lattice_block_matches_full_table(x, picks, tmp_path):
 
 
 def test_p1_direct_streams_family_1e5():
-    # pinned exactly, as the direct route's oracle value at 1e5
-    assert repr(p1_direct(family(1e5))) == "5.537144739874144e-05"
+    # pinned exactly, as the direct route's oracle value at 1e5, and equal to
+    # the exactly rounded sum of its per-prime terms
+    f = family(1e5)
+    got = p1_direct(f)
+    assert repr(got) == "5.537144739874145e-05"
+    terms, _ = _p1_direct_chunk(f, list(zip(*_prime_weights(f, 1))))
+    assert got == float(sum(map(Fraction, terms)))
 
 
 def test_p1_threads_bitwise_deterministic(fam_1e3, monkeypatch):
@@ -251,7 +258,7 @@ def test_direct_term_count(fam_1e3):
 def test_poisson_matches_direct(fam_250, fam_1e3):
     for f in (fam_250, fam_1e3):
         stats: dict = {}
-        got = p1_poisson(f, tail_tol=1e-14, stats=stats)
+        got = p1_poisson(dataclasses.replace(f, tail_tol=1e-14), stats=stats)
         want = p1_direct(f)
         assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
         assert stats["imag_leak"] < 1e-9
@@ -260,8 +267,9 @@ def test_poisson_matches_direct(fam_250, fam_1e3):
 
 def test_poisson_term_count_consistent(fam_250, fam_1e3):
     stats: dict = {}
-    p1_poisson(fam_250, tail_tol=1e-10, stats=stats)
-    assert poisson_term_count(fam_250, tail_tol=1e-10) == stats["terms"]
+    tight = dataclasses.replace(fam_250, tail_tol=1e-10)
+    p1_poisson(tight, stats=stats)
+    assert poisson_term_count(tight) == stats["terms"]
     for f, want in ((fam_1e3, 225_338), (family(1e4), 3_608_826)):
         stats = {}
         p1_poisson(f, stats=stats)
@@ -335,7 +343,7 @@ def test_dual_row_counts_are_mirror_symmetric(x):
     # the fold builds rows h >= 0 only; it needs row -h to keep row h's count
     f = family(x)
     wt, tol = f.weight, f.tail_tol
-    for p in _p1_primes(f):
+    for p in _prime_weights(f, 1)[0]:
         hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
         kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
         k = np.arange(-kmax, kmax + 1)
@@ -352,7 +360,7 @@ def test_dual_columns_fold_over_k(x):
     # the bit and every row to keep as many columns -k as columns k
     f = family(x)
     wt, tol = f.weight, f.tail_tol
-    for p in _p1_primes(f):
+    for p in _prime_weights(f, 1)[0]:
         hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
         kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
         k = np.arange(-kmax, kmax + 1)
@@ -388,8 +396,8 @@ def test_import_and_report_load_no_scipy():
 
 def test_poisson_tail_tol_monotone(fam_250):
     # tighter tolerance keeps at least as many dual terms
-    loose = poisson_term_count(fam_250, tail_tol=1e-6)
-    tight = poisson_term_count(fam_250, tail_tol=1e-12)
+    loose = poisson_term_count(dataclasses.replace(fam_250, tail_tol=1e-6))
+    tight = poisson_term_count(dataclasses.replace(fam_250, tail_tol=1e-12))
     assert tight >= loose > 0
 
 
@@ -507,7 +515,7 @@ def test_cached_report_matches_uncached(tmp_path):
     want = sweep_csv([density_report(family(1e3))])
     f = family(1e3, cache_dir=str(tmp_path))
     assert sweep_csv([density_report(f)]) == want
-    assert len(list(tmp_path.glob("*.frbt"))) == len(_p1_primes(f))
+    assert len(list(tmp_path.glob("*.frbt"))) == len(_prime_weights(f, 1)[0])
     assert sweep_csv([density_report(f)]) == want
 
 

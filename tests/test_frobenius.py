@@ -13,7 +13,6 @@ from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
     get_table,
-    inverse_table,
     lambda_p,
     lambda_p2,
     lambda_rows,
@@ -228,14 +227,6 @@ def test_get_table_without_cache(tmp_path, monkeypatch):
     t = get_table(17)
     assert list(tmp_path.iterdir()) == []
     assert t.p == 17
-
-
-def test_inverse_table():
-    for p in PRIMES + [101, 997]:
-        inv = inverse_table(p)
-        assert inv[0] == 0
-        k = np.arange(1, p)
-        assert np.all(k * inv[1:] % p == 1)
 
 
 def test_table_file_is_deterministic(tmp_path):
