@@ -146,7 +146,7 @@ def factorize(n: int) -> Factorization:
         d += wheel[i]
         i = (i + 1) % 8
     # leftover m is prime, 1, or a hard composite for rho
-    rng = random.Random(0xC0FFEE ^ n)
+    rng = None
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -163,6 +163,8 @@ def factorize(n: int) -> Factorization:
         if root * root == m:
             stack.extend((root, root))
             continue
+        if rng is None:  # seeded only when rho runs; trial division usually finishes
+            rng = random.Random(0xC0FFEE ^ n)
         g = _pollard_rho(m, rng)
         stack.extend((g, m // g))
     return Factorization(n, tuple(sorted(fac.items())))

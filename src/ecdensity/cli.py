@@ -10,6 +10,7 @@ height.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -74,19 +75,26 @@ class RunConfig:
     tail_tol: float = DEFAULT_TAIL_TOL
 
 
+_METHODS = ("auto", "direct", "poisson", "both")
+
+
 def validate_config(cfg: RunConfig) -> RunConfig:
     if not cfg.x:
         raise ConfigError("empty X sweep")
+    if not all(math.isfinite(v) for v in cfg.x):
+        raise ConfigError("every X must be finite")
     if any(v <= 1.0 for v in cfg.x):
         raise ConfigError("every X must exceed 1")
     if list(cfg.x) != sorted(cfg.x):
         raise ConfigError("X sweep must be ascending")
     if not (0 < cfg.nu < 1):
         raise ConfigError(f"nu = {cfg.nu} outside (0, 1)")
+    if not all(math.isfinite(v) for v in cfg.box):
+        raise ConfigError(f"weight box {cfg.box} is not finite")
     x0, x1, y0, y1 = cfg.box
     if not (x0 < x1 and y0 < y1):
         raise ConfigError(f"invalid weight box {cfg.box}")
-    if cfg.method not in ("auto", "direct", "poisson", "both"):
+    if cfg.method not in _METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -95,8 +103,40 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-_CONFIG_KEYS = ("x", "nu", "box", "method", "cache_dir", "seed", "out",
-                "threads", "tail_tol")
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.replace(",", " ").split())
+
+
+def _box(text: str) -> tuple[float, ...]:
+    parts = _numbers(text)
+    if len(parts) != 4:
+        raise ValueError("need 4 numbers")
+    return parts
+
+
+# Every RunConfig field, in render order: the text parser that both the
+# config file and the flag use, the renderer, and the flag's argparse keywords
+# (a flag's words are joined by spaces before parsing).
+_SETTINGS = {
+    "x": (_numbers, lambda v: " ".join(map(repr, v)),
+          {"nargs": "+", "metavar": "X", "help": "family size sweep"}),
+    "nu": (Fraction, str, {"help": "support parameter, fraction or decimal"}),
+    "box": (_box, lambda v: ",".join(map(repr, v)),
+            {"nargs": 4, "metavar": ("X0", "X1", "Y0", "Y1")}),
+    "method": (str, str, {"help": " | ".join(_METHODS)}),
+    "seed": (int, str, {}),
+    "threads": (int, str, {}),
+    "tail_tol": (float, repr, {}),
+    "cache_dir": (str, str, {}),
+    "out": (str, str, {"metavar": "PREFIX", "help": "output file prefix"}),
+}
+
+
+def _parse_setting(key: str, text: str, line_no: int = 0):
+    try:
+        return _SETTINGS[key][0](text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}", line_no)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -110,44 +150,17 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"expected key = value, got {line!r}", no)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown key {key!r}", no)
-        try:
-            if key == "x":
-                fields["x"] = tuple(float(t) for t in val.replace(",", " ").split())
-            elif key == "nu":
-                fields["nu"] = Fraction(val)
-            elif key == "box":
-                parts = tuple(float(t) for t in val.replace(",", " ").split())
-                if len(parts) != 4:
-                    raise ValueError("need 4 numbers")
-                fields["box"] = parts
-            elif key in ("seed", "threads"):
-                fields[key] = int(val)
-            elif key == "tail_tol":
-                fields[key] = float(val)
-            else:
-                fields[key] = val
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}", no)
+        fields[key] = _parse_setting(key, val, no)
     return validate_config(RunConfig(**fields))
 
 
 def render_config(cfg: RunConfig) -> str:
-    lines = [
-        "x = " + " ".join(repr(v) for v in cfg.x),
-        f"nu = {cfg.nu}",
-        "box = " + ",".join(repr(v) for v in cfg.box),
-        f"method = {cfg.method}",
-        f"seed = {cfg.seed}",
-        f"threads = {cfg.threads}",
-        f"tail_tol = {repr(cfg.tail_tol)}",
-    ]
-    if cfg.cache_dir is not None:
-        lines.append(f"cache_dir = {cfg.cache_dir}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"
+    """The config file parse_config reads back as cfg; unset paths omitted."""
+    return "".join(f"{key} = {render(getattr(cfg, key))}\n"
+                   for key, (_, render, _) in _SETTINGS.items()
+                   if getattr(cfg, key) is not None)
 
 
 def _diag(msg: str) -> None:
@@ -156,19 +169,12 @@ def _diag(msg: str) -> None:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="key=value config file")
-    sp.add_argument("--x", nargs="+", metavar="X", help="family size sweep")
-    sp.add_argument("--nu", help="support parameter, fraction or decimal")
-    sp.add_argument("--method", choices=("auto", "direct", "poisson", "both"))
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--out", metavar="PREFIX", help="output file prefix")
-    sp.add_argument("--box", nargs=4, type=float, metavar=("X0", "X1", "Y0", "Y1"))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--cache-dir", dest="cache_dir")
-    sp.add_argument("--tail-tol", type=float, dest="tail_tol")
+    for key, (_, _, flag) in _SETTINGS.items():
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
@@ -176,23 +182,12 @@ def _config_from_args(args) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = RunConfig()
-    updates: dict = {}
-    if getattr(args, "x", None):
-        try:
-            updates["x"] = tuple(float(t) for t in args.x)
-        except ValueError as exc:
-            raise ConfigError(f"bad --x value: {exc}")
-    if getattr(args, "nu", None):
-        try:
-            updates["nu"] = Fraction(args.nu)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad --nu value: {exc}")
-    if getattr(args, "box", None):
-        updates["box"] = tuple(args.box)
-    for key in ("method", "threads", "seed", "cache_dir", "tail_tol", "out"):
-        val = getattr(args, key, None)
+    updates = {}
+    for key in _SETTINGS:
+        val = getattr(args, key)
         if val is not None:
-            updates[key] = val
+            text = " ".join(val) if isinstance(val, list) else val
+            updates[key] = _parse_setting(key, text)
     return validate_config(replace(cfg, **updates))
 
 
@@ -264,25 +259,18 @@ def cmd_density(cfg: RunConfig) -> int:
 
 def _lemma_suite(cfg: RunConfig) -> int:
     failed = 0
-    reports = []
-    ls = large_sieve_suite(seed=cfg.seed)
-    reports.append(ls)
-    _diag(f"{'ok  ' if ls.failures == 0 else 'FAIL'} large_sieve: "
-          f"{ls.instances} instances, {ls.failures} failures, max {ls.max_ratio:.4f}")
-    failed += ls.failures > 0
-    gs = gallagher_spacing_suite(seed=cfg.seed)
-    reports.append(gs)
-    _diag(f"{'ok  ' if gs.failures == 0 else 'FAIL'} gallagher_spacing: "
-          f"{gs.instances} instances, {gs.failures} failures, max {gs.max_ratio:.4f}")
-    failed += gs.failures > 0
-    for rep in (heathbrown_suite(seed=cfg.seed),
-                gallagher_integral_suite(seed=cfg.seed),
-                dirichlet_meanvalue_suite(seed=cfg.seed),
-                expsum_ratio(32, 64, 1, 1, seed=cfg.seed),
-                weyl_ratio(16, 128, 3, seed=cfg.seed)):
-        reports.append(rep)
-        _diag(f"ok   {rep.lemma}: max ratio {rep.max_ratio:.4f} "
-              f"(p50 {rep.p50:.4f}, p90 {rep.p90:.4f})")
+    reports = [large_sieve_suite(seed=cfg.seed),
+               gallagher_spacing_suite(seed=cfg.seed),
+               heathbrown_suite(seed=cfg.seed),
+               gallagher_integral_suite(seed=cfg.seed),
+               dirichlet_meanvalue_suite(seed=cfg.seed),
+               expsum_ratio(32, 64, 1, 1, seed=cfg.seed),
+               weyl_ratio(16, 128, 3, seed=cfg.seed)]
+    for rep in reports:
+        _diag(f"{'ok  ' if rep.failures == 0 else 'FAIL'} {rep.lemma}: "
+              f"{rep.instances} instances, {rep.failures} failures, "
+              f"max {rep.max_ratio:.4f} (p50 {rep.p50:.4f}, p90 {rep.p90:.4f})")
+        failed += rep.failures > 0
     fits = lemma_f_growth(10**5)
     for fit in fits:
         tag = "ok  " if fit.ok else "FAIL"

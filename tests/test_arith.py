@@ -18,6 +18,7 @@ from ecdensity.arith import (
     sieve_primes,
     smallest_factor_table,
 )
+from ecdensity.characters import dlog_table
 
 
 def test_sieve_matches_known_counts():
@@ -88,6 +89,17 @@ def test_factorize_semiprime_rho_path():
     p, q = 1_000_003, 1_000_033
     f = factorize(p * q)
     assert f.factors == ((p, 1), (q, 1))
+
+
+def test_factorize_seeds_rho_only_when_rho_runs(monkeypatch):
+    # trial division finishes p - 1 for every prime the pipeline meets, so
+    # neither call may build the generator Pollard rho draws from
+    def refuse(*args):
+        raise AssertionError("random.Random built although rho never ran")
+    monkeypatch.setattr("ecdensity.arith.random.Random", refuse)
+    assert factorize(79426).factors == ((2, 1), (151, 1), (263, 1))
+    pw, dl = dlog_table(631)
+    assert sorted(pw) == list(range(1, 631))
 
 
 def test_legendre_known_and_euler(rng):

@@ -129,6 +129,31 @@ def test_density_bad_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, words", [
+    ("nu", ["1/0"]),
+    ("threads", ["x"]),
+    ("x", ["inf"]),
+    ("x", ["nan"]),
+    ("box", ["0.5", "inf", "0.5", "1"]),
+])
+def test_bad_values_exit_2_from_file_and_flag(tmp_path, capsys, key, words):
+    # the config file and the flag read the same parser and checks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {' '.join(words)}\n")
+    flag = "--" + key.replace("_", "-")
+    for argv in (["density", "--config", str(cfg)], ["density", flag, *words]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def test_flags_accept_config_file_values(capsys):
+    # commas separate numbers on a flag as in the file
+    assert main(["density", "--x", "200,250"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["200.0", "250.0"]
+
+
 def test_density_singular_box_exit_2(capsys):
     # the box holds (-12, 16) = (-3t^2, 2t^3) at t = 2; rejected before P1 runs
     assert main(["density", "--x", "1000", "--box", "-2", "1", "0.5", "1"]) == 2
@@ -231,6 +256,14 @@ def test_crosscheck_short_list_exit_3(tmp_path, capsys):
     short.write_text("# curve=37.a1(-16,16) T=3\n0.0\n")
     assert main(["crosscheck", str(short), "-16", "16", "--x", "10000"]) == 3
     capsys.readouterr()
+
+
+def test_crosscheck_height_zero_list_exit_3(tmp_path, capsys):
+    # no zeros listed at all: the zero-tail bound must reject the list
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# curve=37a1 T=0\n")
+    assert main(["crosscheck", str(empty), "-16", "16", "--x", "10000"]) == 3
+    assert "truncated below required height" in capsys.readouterr().err
 
 
 # -- verify ------------------------------------------------------------------

@@ -662,4 +662,9 @@ def test_crosscheck_rejects_short_list():
     short = ZeroList(zl.label, 3.0, kept)
     with pytest.raises(ZeroListTooShort) as e:
         explicit_formula_crosscheck(short, -16, 16, family(1e4))
+    assert e.value.required == 15.1875          # 3 * 1.5**4
+    # a height-0 list: the tail integral from the 1e-9 floor is huge, not
+    # negative, so the list is too short however few zeros it misses
+    with pytest.raises(ZeroListTooShort) as e:
+        explicit_formula_crosscheck(ZeroList(zl.label, 0.0, ()), -16, 16, family(1e4))
     assert e.value.required > 3.0
