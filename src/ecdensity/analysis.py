@@ -277,20 +277,19 @@ class GaussianPair:
         return math.sqrt(math.log(max(self.sigma, 1.0) / tol) / math.pi) / self.sigma
 
 
-def poisson_mod_l_check(pair, l: int, a: int, d: float,
-                        tol: float = 1e-15) -> tuple[float, float]:
+def poisson_mod_l_check(pair, l: int, a: int, d: float) -> tuple[float, float]:
     """Both sides of sum over n = a (mod l) of w(n/d)
     = (d/l) * sum_h what(h d / l) e(h a / l), truncated where the factors
-    have decayed below tol.  Returns (lhs, rhs) as floats (rhs real part;
+    have decayed below 1e-15.  Returns (lhs, rhs) as floats (rhs real part;
     the imaginary part cancels by conjugate pairing).
     """
     if l <= 0 or d <= 0:
         raise ValueError("need l >= 1 and d > 0")
-    rx = pair.radius_x(tol)
+    rx = pair.radius_x(1e-15)
     nmax = int(math.ceil(rx * d)) + l
     ns = np.arange(a - (a + nmax) // l * l, nmax + 1, l, dtype=float)
     lhs = float(np.sum(pair.w(ns / d)))
-    ru = pair.radius_u(tol)
+    ru = pair.radius_u(1e-15)
     hmax = int(math.ceil(ru * l / d)) + 1
     hs = np.arange(-hmax, hmax + 1, dtype=float)
     rhs_c = (d / l) * np.sum(pair.what(hs * d / l) * np.exp(2j * np.pi * hs * a / l))

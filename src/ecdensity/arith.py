@@ -251,19 +251,17 @@ class DTriple:
     d_cube: int
 
 
-def d_triple(d: int, fac: Factorization | None = None) -> DTriple:
-    """Kernels (d', d*, d0) of d >= 1; optionally reuse a known factorization."""
+def d_triple(d: int) -> DTriple:
+    """Kernels (d', d*, d0) of d >= 1."""
     if d <= 0:
         raise ValueError(f"d_triple requires d >= 1, got {d}")
-    if fac is None:
-        fac = factorize(d)
     d_sq = d_cube = 1
-    for p, e in fac.factors:
+    for p, e in factorize(d).factors:
         d_sq *= p ** ((e + 1) // 2)
         d_cube *= p ** ((e + 2) // 3)
     return DTriple(d, d_sq, d_sq * d_sq // d, d_cube)
 
 
-def cube_kernel(d: int, fac: Factorization | None = None) -> int:
+def cube_kernel(d: int) -> int:
     """Least f with d | f^3 (the d_cube component alone)."""
-    return d_triple(d, fac).d_cube
+    return d_triple(d).d_cube

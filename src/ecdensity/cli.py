@@ -139,8 +139,8 @@ def _parse_setting(key: str, text: str, line_no: int = 0):
         raise ConfigError(f"bad value for {key}: {exc}", line_no)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
+def _read_config(text: str) -> RunConfig:
+    """Unvalidated settings of key = value lines; '#' comments; unknown keys rejected."""
     fields: dict = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,7 +153,12 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SETTINGS:
             raise ConfigError(f"unknown key {key!r}", no)
         fields[key] = _parse_setting(key, val, no)
-    return validate_config(RunConfig(**fields))
+    return RunConfig(**fields)
+
+
+def parse_config(text: str) -> RunConfig:
+    """The validated RunConfig of a config file's text (see _read_config)."""
+    return validate_config(_read_config(text))
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -174,14 +179,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file, overridden by the flags, validated once as merged."""
+    text = ""
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        cfg = parse_config(text)
-    else:
-        cfg = RunConfig()
+    cfg = _read_config(text)
     updates = {}
     for key in _SETTINGS:
         val = getattr(args, key)
@@ -267,14 +272,12 @@ def _lemma_suite(cfg: RunConfig) -> int:
                expsum_ratio(32, 64, 1, 1, seed=cfg.seed),
                weyl_ratio(16, 128, 3, seed=cfg.seed)]
     for rep in reports:
-        _diag(f"{'ok  ' if rep.failures == 0 else 'FAIL'} {rep.lemma}: "
+        _diag(f"{'ok  ' if rep.passed else 'FAIL'} {rep.lemma}: "
               f"{rep.instances} instances, {rep.failures} failures, "
               f"max {rep.max_ratio:.4f} (p50 {rep.p50:.4f}, p90 {rep.p90:.4f})")
-        failed += rep.failures > 0
-    fits = lemma_f_growth(10**5)
-    for fit in fits:
-        tag = "ok  " if fit.ok else "FAIL"
-        _diag(f"{tag} growth[{fit.name}]: slope {fit.slope:.3f} "
+        failed += not rep.passed
+    for fit in lemma_f_growth(10**5):
+        _diag(f"{'ok  ' if fit.ok else 'FAIL'} growth[{fit.name}]: slope {fit.slope:.3f} "
               f"<= {fit.stated_exponent} + 0.1")
         failed += not fit.ok
     text = harness_csv(reports)
@@ -362,18 +365,20 @@ def cmd_crosscheck(cfg: RunConfig, zero_file: str, a: int, b: int) -> int:
     except ZeroFileError as exc:
         _diag(f"malformed zero file: {exc}")
         return 2
-    f = _spec_for(cfg, cfg.x[0])
-    try:
-        rep = explicit_formula_crosscheck(zl, a, b, f)
-    except ZeroListTooShort as exc:
-        _diag(f"zero list truncated below required height: {exc}")
-        return 3
-    n = rep.conductor_info
-    _diag(f"curve=({a},{b}) N={n.n} band=[{n.n_lo},{n.n_hi}] exact={n.exact}")
-    print(f"lhs={rep.lhs!r} rhs_lo={rep.rhs_lo!r} rhs={rep.rhs!r} "
-          f"rhs_hi={rep.rhs_hi!r} gap={rep.gap!r} band_gap={rep.gap_band!r} "
-          f"budget={rep.budget!r} tail={rep.tail_bound!r}")
-    return 0 if rep.passed else 1
+    failed = False
+    for x in cfg.x:
+        try:
+            rep = explicit_formula_crosscheck(zl, a, b, _spec_for(cfg, x))
+        except ZeroListTooShort as exc:
+            _diag(f"X={x:g}: zero list truncated below required height: {exc}")
+            return 3
+        n = rep.conductor_info
+        _diag(f"X={x:g} curve=({a},{b}) N={n.n} band=[{n.n_lo},{n.n_hi}] exact={n.exact}")
+        print(f"X={x!r} lhs={rep.lhs!r} rhs_lo={rep.rhs_lo!r} rhs={rep.rhs!r} "
+              f"rhs_hi={rep.rhs_hi!r} gap={rep.gap!r} band_gap={rep.gap_band!r} "
+              f"budget={rep.budget!r} tail={rep.tail_bound!r}")
+        failed |= not rep.passed
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

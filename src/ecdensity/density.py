@@ -25,13 +25,13 @@ turning the inner double sum into
 whose (h, k) window shrinks with the transform decay of the weight.  Terms
 with |what| < tail_tol are dropped, so the routes differ by that truncation,
 not by rounding: 8.5e-5, 1.6e-4 and 4.0e-3 relative at X = 1e3, 1e4, 1e5 by
-default.  Only the kept cells with h >= 0 and k > 0 are built, as a
+default.  Per prime, _dual_window finds the kept cells with h >= 0 and
+k > 0 (all poisson_term_count needs) and _dual_sum builds them as a
 staircase of row blocks whose phases are indexed by discrete logs; each
-built cell, with one real coefficient per column, also serves -h and -k
-(see _p1_poisson_term), so the p1_cells count of built cells is about a
-quarter of p1_terms and every prime's term is real to the bit (p1_imag_leak
-is 0.0).  On a 2-core host P1 takes about 0.4 s at X = 1e5 and 3.6 s at
-1e6.
+built cell, with one real coefficient per column, also serves -h and -k, so
+the p1_cells count of built cells is about a quarter of p1_terms and every
+prime's term is real to the bit (p1_imag_leak is 0.0).  On a 2-core host
+P1 takes about 0.4 s at X = 1e5 and 3.6 s at 1e6.
 
 Both routes and P2 read their primes and weights
 w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
@@ -48,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,15 +253,45 @@ def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> np.ndarray:
     return n - idx
 
 
-def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
-                     clock: list | None = None) -> tuple[complex, int, int]:
-    """(S_p, kept cells, phase cells built) of the dual (h, k) block at p.
+def _dual_extent(f: FamilySpec, p: int) -> tuple[int, int]:
+    """(hmax, kmax) at p: past |h| = hmax or |k| = kmax, |what(hA/p, kB/p)|
+    is certified below tail_tol by the radius of one axis at the other's mass."""
+    wt = f.weight
+    r0 = wt.radius(0, f.tail_tol / wt.axis_mass(1))
+    r1 = wt.radius(1, f.tail_tol / wt.axis_mass(0))
+    return int(r0 * p / f.a_scale), int(r1 * p / f.b_scale)
+
+
+class _DualWindow(NamedTuple):
+    """The kept cells of the dual (h, k) block at p with h >= 0, k > 0."""
+
+    k: np.ndarray     # columns 0 < k <= kmax with p not dividing k
+    va: np.ndarray    # axis-0 transform at hA/p, h = 0..hmax
+    vb: np.ndarray    # axis-1 transform at kB/p over the columns k
+    cuts: np.ndarray  # per row h, the count of k with |va| |vb| >= tail_tol
+    kept: int         # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
+
+
+def _dual_window(f: FamilySpec, p: int) -> _DualWindow:
+    """The window at p over _dual_extent, truncated at f.tail_tol."""
+    hmax, kmax = _dual_extent(f, p)
+    k = np.arange(1, kmax + 1, dtype=np.int64)
+    keep = k % p != 0  # (k/p) = 0 there, exactly
+    va = f.weight.axis_progression(0, f.a_scale / p, hmax)[hmax:]
+    vb = f.weight.axis_progression(1, f.b_scale / p, kmax)[kmax + 1:][keep]
+    cuts = (_row_cuts(np.abs(va), np.abs(vb), f.tail_tol) if vb.size
+            else np.zeros(va.size, dtype=np.intp))
+    return _DualWindow(k[keep], va, vb, cuts, 4 * int(cuts.sum()) - 2 * int(cuts[0]))
+
+
+def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
+    """(S_p, phase cells built): the dual (h, k) sum at p over the kept cells.
 
     The block folds over both signs.  va(-h) = conj va(h) and vb(-k) =
     conj vb(k) exactly, so the four cells (+-h, +-k) keep or drop together;
     the phase e(-h^3 kbar^2/p) is even in k and conjugates under h -> -h; and
-    (-k/p) = (-1/p) (k/p).  So only h >= 0, k > 0 are cut and built, and
-    columns k, -k merge into one real coefficient r_k: with (k/p) = (-1)^dl(k),
+    (-k/p) = (-1/p) (k/p).  So only h >= 0, k > 0 are built, and columns
+    k, -k merge into one real coefficient r_k: with (k/p) = (-1)^dl(k),
     r_k = 2 (k/p) Re vb(k) and S_p real when p = 1 (mod 4), r_k = 2 (k/p)
     Im vb(k) and S_p = i times a real sum when p = 3 (mod 4).  Each row gives
     R_h = sum_k omega(h, k) r_k, and rows h, -h add up to Re(u_h R_h) with
@@ -269,33 +300,9 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     one extra stretch of ones for the rows h = 0 mod p and a 0 sentinel.
     Columns go in stable descending |vb| order and the non-empty rows in
     descending kept count, so the kept cells form a staircase; it is
-    contracted in _P1_BLOCKS row blocks, each as wide as its widest row.
-    clock, when given, gains the seconds of the progressions and row cuts in
-    clock[0] and of the phase tables and block loop in clock[1]."""
-    t0 = time.perf_counter()
-    a_sc, b_sc = f.a_scale, f.b_scale
-    wt = f.weight
-    m0, m1 = wt.axis_mass(0), wt.axis_mass(1)
-    r0 = wt.radius(0, tol / m1)
-    r1 = wt.radius(1, tol / m0)
-    hmax = int(r0 * p / a_sc)
-    kmax = int(r1 * p / b_sc)
-    k = np.arange(1, kmax + 1, dtype=np.int64)
-    keep = k % p != 0  # (k/p) = 0 there, exactly
-    k = k[keep]
-    if k.size == 0:
-        return 0.0j, 0, 0
-    va = wt.axis_progression(0, a_sc / p, hmax)[hmax:]  # rows h >= 0
-    vb = wt.axis_progression(1, b_sc / p, kmax)[kmax + 1:][keep]  # columns k > 0
-    absb = np.abs(vb)
-    cuts = _row_cuts(np.abs(va), absb, tol)
-    count = 4 * int(cuts.sum()) - 2 * int(cuts[0])
-    t1 = time.perf_counter()
-    if clock is not None:
-        clock[0] += t1 - t0
-    if count_only or count == 0:
-        return 0.0j, count, 0
-    cols = np.argsort(-absb, kind="stable")
+    contracted in _P1_BLOCKS row blocks, each as wide as its widest row."""
+    k, va, vb, cuts, _ = win
+    cols = np.argsort(-np.abs(vb), kind="stable")
     pw, dl = dlog_table(p)
     dk = dl[k[cols] % p]
     imag = p % 4 == 3  # (-1/p) = -1, so S_p is i times a real sum
@@ -305,7 +312,7 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
     u = 2.0 * va
     u[0] = va[0]  # row h = 0 counts once
     # indices into omega stay below 3p, so int32 holds; 3(p - 1) is the sentinel
-    hmod = np.arange(hmax + 1) % p
+    hmod = np.arange(va.size) % p
     ah = np.where(hmod == 0, 2 * (p - 1), 3 * dl[hmod] % (p - 1)).astype(np.int32)
     bk = (-2 * dk % (p - 1)).astype(np.int32)
     wpow = roots_of_unity(p).conj()[pw]
@@ -320,9 +327,7 @@ def _p1_poisson_term(f: FamilySpec, p: int, tol: float, count_only: bool,
         np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= cuts[r, None])
         s_p += float((u[r] @ (omega.take(phase) @ coeff[:width])).real)
         cells += phase.size
-    if clock is not None:
-        clock[1] += time.perf_counter() - t1
-    return complex(0.0, s_p) if imag else complex(s_p), count, cells
+    return complex(0.0, s_p) if imag else complex(s_p), cells
 
 
 def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
@@ -333,11 +338,16 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     lx = f.log_x
     re, im = [], []
     terms = cells = 0
-    clock = [0.0, 0.0]
+    window_s = sum_s = 0.0
     primes = _prime_weights(f, 1)[0]
     for p in primes:
-        s_p, n, c = _p1_poisson_term(f, p, f.tail_tol, count_only=False, clock=clock)
-        terms += n
+        t0 = time.perf_counter()
+        win = _dual_window(f, p)
+        t1 = time.perf_counter()
+        s_p, c = _dual_sum(p, win)
+        window_s += t1 - t0
+        sum_s += time.perf_counter() - t1
+        terms += win.kept
         cells += c
         w1 = float(f.phi.phihat(math.log(p) / lx))
         v = psi4(p) * (2.0 * math.log(p) / p**1.5) * w1 * s_p
@@ -349,14 +359,13 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
         stats["terms"] = terms
         stats["cells"] = cells
         stats["imag_leak"] = abs(total.imag)
-        stats["transform_s"], stats["contract_s"] = clock
+        stats["transform_s"], stats["contract_s"] = window_s, sum_s
     return total.real
 
 
 def poisson_term_count(f: FamilySpec) -> int:
     """Summand count of the dual route without evaluating the sums."""
-    return sum(_p1_poisson_term(f, p, f.tail_tol, count_only=True)[1]
-               for p in _prime_weights(f, 1)[0])
+    return sum(_dual_window(f, p).kept for p in _prime_weights(f, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +562,13 @@ def _dyadic_ints(lo: float, hi: float) -> np.ndarray:
     return np.arange(math.floor(lo) + 1, math.ceil(hi), dtype=np.int64)
 
 
-def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
-                 g=g_dyadic) -> complex:
+def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec) -> complex:
     """Literal dyadic block:
 
     S = sum_{h ~ H} sum_{k ~ K} sum_{p ~ P} (log p / p^{3/2}) psi4(p) (k/p)
            e(-h^3 kbar^2/p) what(hA/p, kB/p) g(h/H) g(k/K) g(p/P),
 
-    with p > 3 prime and terms with p | k vanishing through the symbol.
+    g = g_dyadic, p > 3 prime, and terms with p | k vanish through the symbol.
     """
     a_sc, b_sc = f.a_scale, f.b_scale
     hs = _dyadic_ints(h_size, 2 * h_size)
@@ -568,20 +576,20 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
     ps = [p for p in sieve_primes(int(2 * p_size)) if p > max(3, p_size)]
     total = 0.0 + 0.0j
     for p in ps:
-        gp = float(g(p / p_size))
+        gp = float(g_dyadic(p / p_size))
         if gp == 0.0:
             continue
         cp = math.log(p) / p**1.5 * psi4(p) * gp
         for k in ks:
             if k % p == 0:
                 continue
-            gk = float(g(k / k_size))
+            gk = float(g_dyadic(k / k_size))
             if gk == 0.0:
                 continue
             lk = legendre(int(k), p)
             kinv2 = pow(int(k), -2, p)
             for h in hs:
-                gh = float(g(h / h_size))
+                gh = float(g_dyadic(h / h_size))
                 if gh == 0.0:
                     continue
                 t = pow(int(h), 3, p) * kinv2 % p
@@ -591,8 +599,7 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec,
 
 
 def q_dk_chi(d: int, k: int, chi: DirichletCharacter,
-             h_size: float, k_size: float, p_size: float, f: FamilySpec,
-             g=g_dyadic) -> complex:
+             h_size: float, k_size: float, p_size: float, f: FamilySpec) -> complex:
     """Inner block of the character expansion at divisor d | k^2:
 
     Q = sum_{p ~ P} sum_{h ~ H/d0} psi4(p) chi(p) (k/p) conj(chi)(h)^3
@@ -609,12 +616,12 @@ def q_dk_chi(d: int, k: int, chi: DirichletCharacter,
     a_sc, b_sc = f.a_scale, f.b_scale
     hs = _dyadic_ints(h_size / d0, 2 * h_size / d0)
     ps = [p for p in sieve_primes(int(2 * p_size)) if p > max(3, p_size)]
-    gk = float(g(k / k_size))
+    gk = float(g_dyadic(k / k_size))
     if gk == 0.0 or hs.size == 0:
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
     for p in ps:
-        gp = float(g(p / p_size))
+        gp = float(g_dyadic(p / p_size))
         if gp == 0.0 or k % p == 0:
             continue
         chip = char_eval(chi, p)
@@ -624,7 +631,7 @@ def q_dk_chi(d: int, k: int, chi: DirichletCharacter,
         cp = psi4(p) * chip * lk * gp * gk * math.log(p) / p**1.5
         mod = p * k2
         for h in hs:
-            ghv = float(g(h * d0 / h_size))
+            ghv = float(g_dyadic(h * d0 / h_size))
             if ghv == 0.0:
                 continue
             chih = char_eval(chi, int(h))
@@ -645,7 +652,7 @@ class ExpansionCheck:
 
 
 def verify_char_expansion(h_size: float, k_size: float, p_size: float,
-                          f: FamilySpec, g=g_dyadic) -> ExpansionCheck:
+                          f: FamilySpec) -> ExpansionCheck:
     """Exact identity: the literal dyadic block equals
 
     sum_{k ~ K} sum_{d | k^2} (1/phi(k^2/d)) sum_{chi mod k^2/d}
@@ -654,7 +661,7 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
     with tau the modulus-level Gauss sum.  Strata whose d0^3/d shares a
     factor with k^2/d contribute 0 through conj(chi)(d0^3/d).
     """
-    lhs = s_hkp_direct(h_size, k_size, p_size, f, g)
+    lhs = s_hkp_direct(h_size, k_size, p_size, f)
     rhs = 0.0 + 0.0j
     for k in _dyadic_ints(k_size, 2 * k_size):
         k2 = int(k * k)
@@ -667,7 +674,7 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
             for chi, tau, factor in zip(chars, taus, factors):
                 if factor == 0.0 or abs(tau) < 1e-15:
                     continue
-                qv = q_dk_chi(d, int(k), chi, h_size, k_size, p_size, f, g)
+                qv = q_dk_chi(d, int(k), chi, h_size, k_size, p_size, f)
                 rhs += tau * factor * qv / len(chars)
     scale = max(abs(lhs), 1e-300)
     return ExpansionCheck(complex(lhs), complex(rhs), abs(lhs - rhs) / scale)

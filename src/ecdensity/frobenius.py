@@ -39,8 +39,9 @@ def _check_p(p: int) -> None:
 
 
 def legendre_table(p: int) -> np.ndarray:
-    """ls[t] = (t/p) as int8, built from the squares mod p."""
-    _check_p(p)
+    """ls[t] = (t/p) as int8 for an odd prime p, built from the squares mod p."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"need an odd prime p, got {p}")
     ls = np.full(p, -1, dtype=np.int8)
     ls[0] = 0
     x = np.arange(1, p, dtype=np.int64)
@@ -128,11 +129,9 @@ def lambda_table(p: int) -> FrobTable:
     return FrobTable(p, lam)
 
 
-def lambda_sq_total(p: int, tab: FrobTable | None = None) -> int:
+def lambda_sq_total(p: int) -> int:
     """sum over all residue pairs of lambda^2; equals p^2 (p - 1)."""
-    if tab is None:
-        tab = lambda_table(p)
-    t = tab.table.astype(np.int64)
+    t = lambda_table(p).table.astype(np.int64)
     return int((t * t).sum())
 
 

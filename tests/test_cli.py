@@ -1,5 +1,6 @@
 """Config file handling, subcommand exit codes, output artifacts."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from ecdensity import cli
 from ecdensity.checks import IDENTITY_CHECKS
 from ecdensity.frobenius import lambda_table, save_table, table_path
+from ecdensity.harness import large_sieve_suite
 from ecdensity.cli import (
     ConfigError,
     RunConfig,
@@ -179,6 +181,18 @@ def test_density_config_file_with_flag_override(tmp_path, capsys):
     assert out.strip().split("\n")[1].startswith("250.0,")
 
 
+def test_config_file_is_validated_after_the_flags(tmp_path, capsys):
+    # the flag replaces the file's descending sweep, so the merged run is valid
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x = 1e4 1e3\n")
+    assert main(["density", "--config", str(cfg), "--x", "250"]) == 0
+    capsys.readouterr()
+    assert main(["density", "--config", str(cfg)]) == 2
+    assert "X sweep must be ascending" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        parse_config(cfg.read_text())
+
+
 def test_density_missing_config_exit_2(capsys):
     assert main(["density", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()
@@ -243,6 +257,27 @@ def test_crosscheck_passes_frozen_curve(capsys):
     assert "N=9472" in captured.err
 
 
+def test_crosscheck_runs_every_x_of_the_sweep(capsys):
+    rc = main(["crosscheck", str(DATA), "-16", "16", "--x", "1e4", "1e5"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 0
+    assert [line.split()[0] for line in lines] == ["X=10000.0", "X=100000.0"]
+
+
+def test_crosscheck_sweep_exit_codes(tmp_path, capsys, monkeypatch):
+    # the first X whose list is too short stops the sweep with exit 3; a
+    # failed X gives exit 1 once the rest of the sweep has run
+    short = tmp_path / "short.txt"
+    short.write_text("# curve=37.a1(-16,16) T=3\n0.0\n")
+    assert main(["crosscheck", str(short), "-16", "16", "--x", "1e4", "1e5"]) == 3
+    assert capsys.readouterr().out == ""
+    real = cli.explicit_formula_crosscheck
+    monkeypatch.setattr(cli, "explicit_formula_crosscheck", lambda zl, a, b, f: (
+        dataclasses.replace(real(zl, a, b, f), passed=f.x > 1e4)))
+    assert main(["crosscheck", str(DATA), "-16", "16", "--x", "1e4", "1e5"]) == 1
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
 def test_crosscheck_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "z.txt"
     bad.write_text("no header\n1.0\n")
@@ -287,6 +322,17 @@ def test_verify_identities_runs_registry_in_order(monkeypatch, capsys):
         assert rc == want_rc
         assert [line.rsplit(" [", 1)[0] for line in lines] == [
             "ok   passes: fine", "FAIL fails: broken"][: len(names)]
+
+
+def test_verify_lemmas_holds_constant_one_suites_to_gate_07(monkeypatch, capsys):
+    # five clean large-sieve instances fall short of gate 07's 100
+    monkeypatch.setattr(cli, "large_sieve_suite",
+                        lambda seed: large_sieve_suite(trials=5, seed=seed))
+    monkeypatch.setattr(cli, "lemma_f_growth", lambda dmax: ())
+    assert main(["verify", "lemmas"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL large_sieve: 5 instances, 0 failures" in err
+    assert "ok   gallagher_spacing: 120 instances" in err
 
 
 def test_verify_lemmas_reports_growth_excess(tmp_path, capsys):

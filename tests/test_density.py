@@ -25,8 +25,10 @@ from ecdensity.density import (
     ZeroList,
     ZeroListTooShort,
     _axis_lattice,
+    _dual_extent,
+    _dual_sum,
+    _dual_window,
     _lattice_block,
-    _p1_poisson_term,
     _prime_weights,
     _p1_direct_chunk,
     _row_cuts,
@@ -305,8 +307,7 @@ def _dense_dual_term(f, p):
     complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept
     cells, their count, and the count of those with h >= 0 and k > 0."""
     wt, tol = f.weight, f.tail_tol
-    hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
-    kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+    hmax, kmax = _dual_extent(f, p)
     h = np.arange(-hmax, hmax + 1)
     k = np.array([k for k in range(-kmax, kmax + 1) if k % p])
     va = wt.axis_transform(0, h * (f.a_scale / p))
@@ -331,9 +332,10 @@ def _dense_dual_term(f, p):
 def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
-    got, n, cells = _p1_poisson_term(f, p, f.tail_tol, count_only=False)
+    win = _dual_window(f, p)
+    got, cells = _dual_sum(p, win)
     want, want_n, want_quarter = _dense_dual_term(f, p)
-    assert n == want_n > 0
+    assert win.kept == want_n > 0
     assert cells >= want_quarter  # cells with h < 0 or k < 0 come from h >= 0, k > 0
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
@@ -344,8 +346,7 @@ def test_dual_row_counts_are_mirror_symmetric(x):
     f = family(x)
     wt, tol = f.weight, f.tail_tol
     for p in _prime_weights(f, 1)[0]:
-        hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
-        kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+        hmax, kmax = _dual_extent(f, p)
         k = np.arange(-kmax, kmax + 1)
         va = wt.axis_progression(0, f.a_scale / p, hmax)
         vb = wt.axis_progression(1, f.b_scale / p, kmax)[k % p != 0]
@@ -361,8 +362,7 @@ def test_dual_columns_fold_over_k(x):
     f = family(x)
     wt, tol = f.weight, f.tail_tol
     for p in _prime_weights(f, 1)[0]:
-        hmax = int(wt.radius(0, tol / wt.axis_mass(1)) * p / f.a_scale)
-        kmax = int(wt.radius(1, tol / wt.axis_mass(0)) * p / f.b_scale)
+        hmax, kmax = _dual_extent(f, p)
         k = np.arange(-kmax, kmax + 1)
         va = wt.axis_progression(0, f.a_scale / p, hmax)
         vb = wt.axis_progression(1, f.b_scale / p, kmax)
@@ -584,7 +584,7 @@ def test_q_dk_chi_requires_divisibility(fam_250):
 
 def test_s_hkp_direct_empty_prime_window(fam_250):
     # a window below the smallest admissible prime has no terms
-    assert s_hkp_direct(4.0, 6.0, 1.0, fam_250, g_dyadic) == 0
+    assert s_hkp_direct(4.0, 6.0, 1.0, fam_250) == 0
 
 
 # -- zero lists and the explicit-formula crosscheck ------------------------

@@ -38,6 +38,9 @@ def test_legendre_table_values():
         t = legendre_table(p)
         assert t.shape == (p,)
         assert all(t[n] == legendre(n, p) for n in range(p))
+    assert legendre_table(3).tolist() == [0, 1, -1]
+    with pytest.raises(ValueError):
+        legendre_table(2)
 
 
 def test_lambda_p_known_values():

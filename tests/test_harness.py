@@ -1,11 +1,13 @@
 """Inequality harnesses: strict constant-1 checks and ratio recorders."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ecdensity.harness import (
+    CONSTANT_ONE,
     RatioReport,
     WellSpacedSet,
     dirichlet_meanvalue_check,
@@ -60,6 +62,18 @@ def test_large_sieve_suite_all_pass():
     assert 0 < rep.p50 <= rep.p90 <= rep.max_ratio
 
 
+def test_passed_holds_constant_one_suites_to_gate_07():
+    rep = large_sieve_suite(trials=100)
+    assert rep.lemma in CONSTANT_ONE and rep.failures == 0 and rep.passed
+    assert not dataclasses.replace(rep, instances=99).passed
+    assert not dataclasses.replace(rep, failures=1).passed
+    assert not dataclasses.replace(rep, max_ratio=1.0 + 1e-9).passed
+    assert not dataclasses.replace(rep, max_ratio=math.nan).passed
+    # a harnessed constant is only held to its failure count
+    other = dataclasses.replace(rep, lemma="heathbrown", instances=8, max_ratio=3.0)
+    assert other.passed and not dataclasses.replace(other, failures=1).passed
+
+
 def test_large_sieve_suite_seeded_reproducible():
     a = large_sieve_suite(trials=25, seed=7)
     b = large_sieve_suite(trials=25, seed=7)
@@ -78,6 +92,27 @@ def test_heathbrown_ratio_basic(rng):
         assert r is not None and r > 0
         vals.append(r)
     assert all(math.isfinite(v) for v in vals)
+
+
+def _euler(n: int, p: int) -> int:
+    return 0 if n % p == 0 else (1 if pow(n, (p - 1) // 2, p) == 1 else -1)
+
+
+def test_heathbrown_ratio_matches_euler_criterion(rng):
+    # P = 3 takes the primes 3 and 5; n runs past both so (n/p) wraps
+    n = 40
+    a = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+    for p_size in (3, 20):
+        lhs = sum(abs(sum(_euler(j, p) * a[j - 1] for j in range(1, n + 1))) ** 2
+                  for p in range(p_size, 2 * p_size)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        denom = sum(abs(a[n1 - 1] * a[q * q // n1 - 1])
+                    for q in range(1, n + 1) for n1 in range(1, n + 1)
+                    if q * q % n1 == 0 and q * q // n1 <= n)
+        assert heathbrown_ratio(p_size, n, a) == pytest.approx(
+            lhs / ((p_size + n) * denom), rel=1e-12)
+    with pytest.raises(ValueError):
+        heathbrown_ratio(2, n, a)
 
 
 def test_heathbrown_ratio_zero_denominator():
