@@ -70,9 +70,10 @@ DEFAULT_TAIL_TOL = 1e-9
 _P1_CHUNK = 16
 _P1_BLOCKS = 8
 # sum of the P1 primes below which p1_direct stays serial: on a 2-core host a
-# two-process pool lost to the serial loop at X = 1e3 and 1e4 (sums 1,588 and
-# 32,348) and won from about X = 5e4 (sum 261,217)
-_P1_POOL_WORK = 200_000
+# two-process pool lost to the serial loop up to X = 3e4 (sum 134,742: 0.052
+# against 0.032 s), tied at 4e4 (199,955), and won from 5e4 (261,217: 0.045
+# against 0.051 s; 0.079 against 0.102 s at 1e5, 0.147 against 0.223 s at 2e5)
+_P1_POOL_WORK = 230_000
 
 
 @dataclass
@@ -253,12 +254,18 @@ def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> np.ndarray:
     return n - idx
 
 
-def _dual_extent(f: FamilySpec, p: int) -> tuple[int, int]:
-    """(hmax, kmax) at p: past |h| = hmax or |k| = kmax, |what(hA/p, kB/p)|
-    is certified below tail_tol by the radius of one axis at the other's mass."""
+def _dual_radii(f: FamilySpec) -> tuple[float, float]:
+    """(r0, r1), the radius of each axis at tail_tol over the other's mass;
+    neither depends on p, so a prime loop computes them once."""
     wt = f.weight
-    r0 = wt.radius(0, f.tail_tol / wt.axis_mass(1))
-    r1 = wt.radius(1, f.tail_tol / wt.axis_mass(0))
+    return (wt.radius(0, f.tail_tol / wt.axis_mass(1)),
+            wt.radius(1, f.tail_tol / wt.axis_mass(0)))
+
+
+def _dual_extent(f: FamilySpec, p: int, radii: tuple | None = None) -> tuple[int, int]:
+    """(hmax, kmax) at p: past |h| = hmax or |k| = kmax, |what(hA/p, kB/p)|
+    is certified below tail_tol by the radii of _dual_radii."""
+    r0, r1 = radii or _dual_radii(f)
     return int(r0 * p / f.a_scale), int(r1 * p / f.b_scale)
 
 
@@ -272,9 +279,9 @@ class _DualWindow(NamedTuple):
     kept: int         # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
 
 
-def _dual_window(f: FamilySpec, p: int) -> _DualWindow:
+def _dual_window(f: FamilySpec, p: int, radii: tuple | None = None) -> _DualWindow:
     """The window at p over _dual_extent, truncated at f.tail_tol."""
-    hmax, kmax = _dual_extent(f, p)
+    hmax, kmax = _dual_extent(f, p, radii)
     k = np.arange(1, kmax + 1, dtype=np.int64)
     keep = k % p != 0  # (k/p) = 0 there, exactly
     va = f.weight.axis_progression(0, f.a_scale / p, hmax)[hmax:]
@@ -340,9 +347,10 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     terms = cells = 0
     window_s = sum_s = 0.0
     primes = _prime_weights(f, 1)[0]
+    radii = _dual_radii(f)
     for p in primes:
         t0 = time.perf_counter()
-        win = _dual_window(f, p)
+        win = _dual_window(f, p, radii)
         t1 = time.perf_counter()
         s_p, c = _dual_sum(p, win)
         window_s += t1 - t0
@@ -365,7 +373,8 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
 
 def poisson_term_count(f: FamilySpec) -> int:
     """Summand count of the dual route without evaluating the sums."""
-    return sum(_dual_window(f, p).kept for p in _prime_weights(f, 1)[0])
+    radii = _dual_radii(f)
+    return sum(_dual_window(f, p, radii).kept for p in _prime_weights(f, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ nonsingular reductions; the same Legendre-sum value is used at singular
 residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
-Residue rows come from one evaluator, lambda_rows: three length-p Legendre
-correlations per prime (rows 0, 1 and g, the primitive root of
-characters.dlog_table), and every other row by the quadratic twist
+Residue rows come from one evaluator, lambda_rows: real-FFT linear
+correlations against the doubled Legendre sequence for the base rows 1 and g
+(g the primitive root of characters.dlog_table), plus row 0 only when some
+alpha = 0 (mod p) is asked for, and every other row by the quadratic twist
 lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta) (Silverman, AEC
 III.1) as one integer gather, so a full table costs three correlations plus
 O(p^2).  The one discrete-log table mod p supplies everything mod p the rows
@@ -82,35 +83,53 @@ def _audit(lam: np.ndarray, p: int) -> None:
         raise RuntimeError(f"table audit failed for p={p}")
 
 
+def _smooth_len(n: int) -> int:
+    """The least 5-smooth integer >= n (n >= 1): for each 3^j 5^k below the
+    running best, the least power of two that lifts it to n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
     (len(alphas), len(betas)).
 
-    Rows c = 0, 1, g are the FFT correlation -sum_t counts_c[t] ((t + beta)/p)
-    of the value counts of x^3 + c x, exact after rounding (|lambda| < 2 sqrt(p)
-    << the double mantissa; the audits catch a failure).  Any other row
-    alpha = g^t is c d^2 with c = g^(t mod 2) and d = g^floor(t/2), so it is
-    read off as lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
-    (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
+    Base rows c = 1, g, and c = 0 only when some alpha = 0 (mod p), are the
+    correlation -sum_t counts_c[t] ((t + beta)/p) of the value counts of
+    x^3 + c x, taken as a linear correlation against the doubled Legendre
+    sequence by real FFTs at the least 5-smooth length >= 2p; exact after
+    rounding (|lambda| < 2 sqrt(p) << the double mantissa; the audits catch a
+    failure).  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
+    d = g^floor(t/2), so it is read off as lambda(alpha, beta) =
+    (d/p) lambda(c, beta d^-3 mod p), with (d/p) = (-1)^floor(t/2) and
+    d^-3 = g^(-3 floor(t/2)).
     """
     _check_p(p)
     pw, dl = dlog_table(p)
-    ls = np.where(dl & 1, -1, 1).astype(np.int8)  # (t/p) = (-1)^dl(t)
-    ls[0] = 0
-    g = int(pw[1])
+    ls = np.where(dl & 1, -1.0, 1.0)  # (t/p) = (-1)^dl(t)
+    ls[0] = 0.0
+    a = np.asarray(alphas, dtype=np.int64) % p
+    zero = bool((a == 0).any())
     x = np.arange(p, dtype=np.int64)
     cubes = x * x % p * x % p
-    counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p)
-                       for c in (0, 1, g)]).astype(np.float64)
-    spec = np.fft.fft(ls.astype(np.float64))[None, :] * np.conj(np.fft.fft(counts, axis=1))
-    base = -np.rint(np.fft.ifft(spec, axis=1).real)
+    cs = (0, 1, int(pw[1])) if zero else (1, int(pw[1]))
+    counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p) for c in cs])
+    n = _smooth_len(2 * p)
+    spec = np.fft.rfft(np.tile(ls, 2), n)[None, :] * np.conj(np.fft.rfft(counts, n, axis=1))
+    base = -np.rint(np.fft.irfft(spec, n, axis=1)[:, :p])
     _audit(base, p)
     base = base.astype(np.int16)
-    # alpha = g^t -> base row 1 + (t & 1), twist d = g^(t >> 1); alpha = 0
+    # alpha = g^t -> base row c = g^(t & 1), twist d = g^(t >> 1); alpha = 0
     # reads row 0 with d = 1 (dl[0] = 0)
-    a = np.asarray(alphas, dtype=np.int64) % p
     t = dl[a]
-    row = np.where(a == 0, 0, 1 + (t & 1))
+    row = np.where(a == 0, 0, 1 + (t & 1)) if zero else t & 1
     half = t >> 1
     dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
     step = pw[-3 * half % (p - 1)].astype(dt)
