@@ -70,10 +70,11 @@ DEFAULT_TAIL_TOL = 1e-9
 _P1_CHUNK = 16
 _P1_BLOCKS = 8
 # sum of the P1 primes below which p1_direct stays serial: on a 2-core host a
-# two-process pool lost to the serial loop up to X = 3e4 (sum 134,742: 0.052
-# against 0.032 s), tied at 4e4 (199,955), and won from 5e4 (261,217: 0.045
-# against 0.051 s; 0.079 against 0.102 s at 1e5, 0.147 against 0.223 s at 2e5)
-_P1_POOL_WORK = 230_000
+# two-process pool lost to the serial loop up to X = 3e4 (sum 134,742: 0.034
+# against 0.033 s; 0.040 against 0.023 s at 2e4) and won from 3.5e4 (166,546:
+# 0.037 against 0.038 s; 0.040 against 0.044 s at 4e4, 0.081 against 0.111 s
+# at 1e5, 0.157 against 0.252 s at 2e5)
+_P1_POOL_WORK = 150_000
 
 
 @dataclass
@@ -262,10 +263,10 @@ def _dual_radii(f: FamilySpec) -> tuple[float, float]:
             wt.radius(1, f.tail_tol / wt.axis_mass(0)))
 
 
-def _dual_extent(f: FamilySpec, p: int, radii: tuple | None = None) -> tuple[int, int]:
+def _dual_extent(f: FamilySpec, p: int, radii: tuple[float, float]) -> tuple[int, int]:
     """(hmax, kmax) at p: past |h| = hmax or |k| = kmax, |what(hA/p, kB/p)|
     is certified below tail_tol by the radii of _dual_radii."""
-    r0, r1 = radii or _dual_radii(f)
+    r0, r1 = radii
     return int(r0 * p / f.a_scale), int(r1 * p / f.b_scale)
 
 
@@ -279,7 +280,7 @@ class _DualWindow(NamedTuple):
     kept: int         # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
 
 
-def _dual_window(f: FamilySpec, p: int, radii: tuple | None = None) -> _DualWindow:
+def _dual_window(f: FamilySpec, p: int, radii: tuple[float, float]) -> _DualWindow:
     """The window at p over _dual_extent, truncated at f.tail_tol."""
     hmax, kmax = _dual_extent(f, p, radii)
     k = np.arange(1, kmax + 1, dtype=np.int64)

@@ -83,20 +83,6 @@ def _audit(lam: np.ndarray, p: int) -> None:
         raise RuntimeError(f"table audit failed for p={p}")
 
 
-def _smooth_len(n: int) -> int:
-    """The least 5-smooth integer >= n (n >= 1): for each 3^j 5^k below the
-    running best, the least power of two that lifts it to n."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
     (len(alphas), len(betas)).
@@ -104,7 +90,7 @@ def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     Base rows c = 1, g, and c = 0 only when some alpha = 0 (mod p), are the
     correlation -sum_t counts_c[t] ((t + beta)/p) of the value counts of
     x^3 + c x, taken as a linear correlation against the doubled Legendre
-    sequence by real FFTs at the least 5-smooth length >= 2p; exact after
+    sequence by real FFTs at the least power of two >= 2p; exact after
     rounding (|lambda| < 2 sqrt(p) << the double mantissa; the audits catch a
     failure).  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
     d = g^floor(t/2), so it is read off as lambda(alpha, beta) =
@@ -121,7 +107,7 @@ def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     cubes = x * x % p * x % p
     cs = (0, 1, int(pw[1])) if zero else (1, int(pw[1]))
     counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p) for c in cs])
-    n = _smooth_len(2 * p)
+    n = 1 << (2 * p - 1).bit_length()
     spec = np.fft.rfft(np.tile(ls, 2), n)[None, :] * np.conj(np.fft.rfft(counts, n, axis=1))
     base = -np.rint(np.fft.irfft(spec, n, axis=1)[:, :p])
     _audit(base, p)

@@ -423,9 +423,11 @@ def lemma_f_growth(dmax: int) -> tuple[GrowthFit, ...]:
     """Least-squares slope of log(sum) vs log(D) on a 12-point geometric D
     grid for each of the six multiplicative sums; slopes compared downstream
     against the stated exponents (1/2, 1/4, 0, 1/2, 0, 0) plus a 0.1 margin."""
+    if dmax < 100:
+        raise ValueError("Dmax must be >= 100")
     grid = sorted({int(round(100.0 * (dmax / 100.0) ** (j / 11))) for j in range(12)})
-    if dmax < 100 or len(grid) < 3:  # a fit needs 3 distinct points: Dmax >= 102
-        raise ValueError(f"Dmax must be >= 100 and give 3 distinct grid points, got {dmax}")
+    if len(grid) < 3:  # a fit needs 3 distinct points: Dmax >= 102
+        raise ValueError(f"Dmax = {dmax} gives fewer than 3 distinct grid points")
     spf = smallest_factor_table(dmax)
     terms = np.fromiter((_kernel_terms(d, spf) for d in range(1, grid[-1] + 1)),
                         dtype=(float, 6), count=grid[-1])

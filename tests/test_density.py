@@ -26,6 +26,7 @@ from ecdensity.density import (
     ZeroListTooShort,
     _axis_lattice,
     _dual_extent,
+    _dual_radii,
     _dual_sum,
     _dual_window,
     _lattice_block,
@@ -307,7 +308,7 @@ def _dense_dual_term(f, p):
     complex mask: sum of va(h) (k/p) e(-h^3 kbar^2/p) vb(k) over the kept
     cells, their count, and the count of those with h >= 0 and k > 0."""
     wt, tol = f.weight, f.tail_tol
-    hmax, kmax = _dual_extent(f, p)
+    hmax, kmax = _dual_extent(f, p, _dual_radii(f))
     h = np.arange(-hmax, hmax + 1)
     k = np.array([k for k in range(-kmax, kmax + 1) if k % p])
     va = wt.axis_transform(0, h * (f.a_scale / p))
@@ -332,7 +333,7 @@ def _dense_dual_term(f, p):
 def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
-    win = _dual_window(f, p)
+    win = _dual_window(f, p, _dual_radii(f))
     got, cells = _dual_sum(p, win)
     want, want_n, want_quarter = _dense_dual_term(f, p)
     assert win.kept == want_n > 0
@@ -344,9 +345,9 @@ def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
 def test_dual_row_counts_are_mirror_symmetric(x):
     # the fold builds rows h >= 0 only; it needs row -h to keep row h's count
     f = family(x)
-    wt, tol = f.weight, f.tail_tol
+    wt, tol, radii = f.weight, f.tail_tol, _dual_radii(f)
     for p in _prime_weights(f, 1)[0]:
-        hmax, kmax = _dual_extent(f, p)
+        hmax, kmax = _dual_extent(f, p, radii)
         k = np.arange(-kmax, kmax + 1)
         va = wt.axis_progression(0, f.a_scale / p, hmax)
         vb = wt.axis_progression(1, f.b_scale / p, kmax)[k % p != 0]
@@ -360,9 +361,9 @@ def test_dual_columns_fold_over_k(x):
     # the fold builds columns k > 0 only; it needs vb(-k) to be conj vb(k) to
     # the bit and every row to keep as many columns -k as columns k
     f = family(x)
-    wt, tol = f.weight, f.tail_tol
+    wt, tol, radii = f.weight, f.tail_tol, _dual_radii(f)
     for p in _prime_weights(f, 1)[0]:
-        hmax, kmax = _dual_extent(f, p)
+        hmax, kmax = _dual_extent(f, p, radii)
         k = np.arange(-kmax, kmax + 1)
         va = wt.axis_progression(0, f.a_scale / p, hmax)
         vb = wt.axis_progression(1, f.b_scale / p, kmax)

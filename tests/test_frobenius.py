@@ -12,7 +12,6 @@ from ecdensity.arith import legendre, psi4, sieve_primes
 from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
-    _smooth_len,
     get_table,
     lambda_p,
     lambda_p2,
@@ -124,8 +123,8 @@ def test_lambda_rows_random_blocks(rng, p):
 
 @pytest.mark.parametrize("p", [5, 7, 1009, 3163, 46349, 65537])
 def test_lambda_rows_without_alpha_zero(rng, p):
-    # no alpha = 0 (mod p): only base rows 1 and g are correlated.  2p is
-    # 5-smooth at p = 5 only; from 46,349 the columns are int64
+    # no alpha = 0 (mod p): only base rows 1 and g are correlated.  The FFT
+    # pads 2p to 4p - 2 at p = 65537; from 46,349 the columns are int64
     alphas = [rng.randrange(1, p) for _ in range(6)] + [1, p + 1, p - 1]
     betas = [rng.randrange(p) for _ in range(10)] + [0, p - 1]
     block = lambda_rows(p, np.array(alphas), np.array(betas))
@@ -135,19 +134,6 @@ def test_lambda_rows_without_alpha_zero(rng, p):
             assert block[i, j] == lambda_p(a, b, p)
     # the same rows read through the three-row path with alpha = 0 asked too
     assert np.array_equal(lambda_rows(p, np.array([0] + alphas), np.array(betas))[1:], block)
-
-
-def test_smooth_len_is_the_least_5_smooth_at_or_above():
-    def smooth(m):
-        for q in (2, 3, 5):
-            while m % q == 0:
-                m //= q
-        return m == 1
-    want = 5000
-    for n in range(5000, 0, -1):
-        if smooth(n):
-            want = n
-        assert _smooth_len(n) == want, n
 
 
 def test_twist_identity(rng):

@@ -270,16 +270,12 @@ def test_growth_fit_excess_shrinks_with_range():
 
 
 def test_growth_fit_requires_range():
-    with pytest.raises(ValueError):
-        lemma_f_growth(50)
-
-
-@pytest.mark.parametrize("dmax", [100, 101])
-def test_growth_fit_rejects_a_collapsed_grid(dmax):
-    # the 12-point grid collapses to 1 and 2 distinct D here, too few for a
-    # slope with any check on it; 102 is the least Dmax that fits
-    with pytest.raises(ValueError, match="3 distinct grid points"):
-        lemma_f_growth(dmax)
+    # Dmax < 100 is refused before the grid is built (a negative one would
+    # make it complex); 100 and 101 collapse the 12-point grid to 1 and 2
+    # distinct D, too few for a slope; 102 is the least Dmax that fits
+    for dmax in (-5, 0, 50, 100, 101):
+        with pytest.raises(ValueError):
+            lemma_f_growth(dmax)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert len(lemma_f_growth(102)[0].grid) == 3
