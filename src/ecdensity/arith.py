@@ -42,6 +42,16 @@ def smallest_factor_table(limit: int) -> list[int]:
     return spf
 
 
+def icbrt(n: int) -> int:
+    """Largest r with r^3 <= n, for n >= 0."""
+    r = round(n ** (1 / 3))
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -217,10 +217,11 @@ def _check_lattices(cfg: RunConfig) -> None:
 
 
 def _timing_summary(rep) -> str:
-    """Stage seconds and P1 term counts of one report, for the stderr summary."""
+    """Stage seconds, P1 term counts and conductor sieve primes of one report,
+    for the stderr summary."""
     parts = [f"{k}={rep.timings[k]:.3f}s" for k in
              ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
-    parts += [f"{k}={rep.term_counts[k]}" for k in ("p1_terms", "p1_cells")
+    parts += [f"{k}={rep.term_counts[k]}" for k in ("p1_terms", "p1_cells", "conductor_primes")
               if k in rep.term_counts]
     return " ".join(parts)
 

@@ -11,9 +11,11 @@ and b values.  Its odd part is a residue sieve rather than trial division of
 every curve: for a prime p >= 5, p | 4a^3 + 27b^2 exactly when
 -4a^3 = 27b^2 (mod p), so joining the a-axis keys -4a^3 mod p against the
 sorted b-axis keys 27b^2 mod p lists the cells p divides.  That is
-O(na + nb) key work plus O(hits) per prime instead of O(na * nb); on
-family(1e7) the 2,020 primes 5 <= p <= sqrt(max |disc|/16) hit 290,377 of
-170,748 * 2,020 = 3.4e8 (curve, p) cells.
+O(na + nb) key work plus O(hits) per prime instead of O(na * nb).  The sieve
+stops at the integer cube root of the largest 2- and 3-free remainder, where
+each leftover is 1, q, q^2 or q*r and reads off exactly (conductor_log_batch
+says why); on family(1e7) the 120 primes 5 <= p <= 676 hit 222,569 of
+170,748 * 120 = 2.0e7 (curve, p) cells.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, sieve_primes
+from .arith import factorize, icbrt, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,19 @@ def conductor(a: int, b: int) -> ConductorInfo:
     )
 
 
-def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _leftover_log(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum of f_q log q over the primes q of each odd-sieve leftover r > 1,
+    which is q, q^2 or q*q' (see conductor_log_batch); a holds the same
+    cells' minimal-model coefficient, which decides f_q at a square."""
+    q = np.rint(np.sqrt(r)).astype(np.int64)
+    sq = np.flatnonzero(q * q == r)
+    term = np.log(r)
+    term[sq] = np.where(a[sq] % q[sq] != 0, 1, 2) * np.log(q[sq])
+    return term
+
+
+def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
+                        stats: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log n, log n_lo, log n_hi) over the grid na x nb of curves, vectorized.
 
     Same heuristic as conductor().  The arrays are flat in a-major order
@@ -131,8 +145,16 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
     minimal |disc|/16 is sieved one prime p >= 5 at a time on the two axes:
     p | 4a^3 + 27b^2 exactly when -4a^3 = 27b^2 (mod p), so joining the sorted
     keys 27b^2 mod p against the keys -4a^3 mod p yields the cells p divides
-    in O(na + nb) key work plus O(hits), not O(na * nb) trial divisions.  The
-    single possible leftover factor > sqrt(max) is necessarily prime.
+    in O(na + nb) key work plus O(hits), not O(na * nb) trial divisions.
+
+    The sieve stops at root = icbrt(max rem), rem being each cell's minimal
+    |disc|/16 with its 2- and 3-parts divided out.  Every prime factor of a
+    leftover is then > root, and rem < (root + 1)^3 allows at most two, so
+    the leftover is 1, q, q^2 or q*r.  A factor q | a would force q | b and
+    q^2 | rem, so q and q*r are multiplicative at each factor and add
+    log(rem), while q^2 adds f_q log q with f_q = 2 exactly when q | a.
+    stats, when given, receives "primes", the number of primes the odd
+    sieve ran.
     """
     na = np.asarray(na, dtype=np.int64)
     nb = np.asarray(nb, dtype=np.int64)
@@ -155,37 +177,24 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
             a[m] //= p4
             b[m] //= p6
     rem = np.abs(4 * a**3 + 27 * b**2)  # |disc| / 16, divided down below
-    v2 = np.zeros(a.shape, dtype=np.int64)
-    v3 = np.zeros(a.shape, dtype=np.int64)
-    log_odd = np.zeros(a.shape, dtype=np.float64)
+    del b
     # v2 of disc = 4 + v2(d); the factor 16 never meets the p >= 5 part
-    for _ in range(64):
-        m = rem % 2 == 0
-        if not m.any():
-            break
-        v2[m] += 1
-        rem[m] //= 2
+    v2 = np.frexp((rem & -rem).astype(np.float64))[1] - 1
+    rem >>= v2
     v2 += 4
+    v3 = np.zeros(a.shape, dtype=np.int64)
     for _ in range(41):
         m = rem % 3 == 0
         if not m.any():
             break
         v3[m] += 1
         rem[m] //= 3
-    dmax = int(rem.max()) if rem.size else 0
-    c4 = -48 * a
+    root = icbrt(int(rem.max()) if rem.size else 0)
+    log_odd = np.zeros(a.shape, dtype=np.float64)
     rows = np.arange(na.size, dtype=np.int64) * nb.size
     a_side, b_side = -4 * na**3, 27 * nb**2
-    check = 1024
-    for p in sieve_primes(math.isqrt(max(dmax, 1))):
-        if p < 5:
-            continue
-        if p > check:
-            # every prime below p is divided out, so once p^2 > max(rem) each
-            # cell still above 1 is a prime, left to the leftover rule below
-            check *= 2
-            if p * p > int(rem.max()):
-                break
+    primes = [p for p in sieve_primes(root) if p >= 5]
+    for p in primes:
         ka, kb = a_side % p, b_side % p
         order = kb.argsort()
         kb = kb[order]
@@ -200,7 +209,7 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
         pos = np.arange(total) - np.repeat(start - lo, cnt)
         idx = np.repeat(rows, cnt) + order[pos]
         idx = idx[rem[idx] % p == 0]
-        fp = np.where(c4[idx] % p != 0, 1, 2)
+        fp = np.where(a[idx] % p != 0, 1, 2)
         log_odd[idx] += fp * math.log(p)
         r = rem[idx]
         while True:
@@ -209,10 +218,10 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.
                 break
             r[m] //= p
         rem[idx] = r
-    big = rem > 1  # leftover prime factor, valuation 1 in disc
-    if big.any():
-        fp = np.where(c4[big] % rem[big] != 0, 1, 2)
-        log_odd[big] += fp * np.log(rem[big].astype(np.float64))
+    if stats is not None:
+        stats["primes"] = len(primes)
+    big = rem > 1
+    log_odd[big] += _leftover_log(rem[big], a[big])
     l2, l3 = math.log(2), math.log(3)
     log_n = log_odd + np.minimum(v2, F2_CAP) * l2 + np.minimum(v3, F3_CAP) * l3
     log_hi = log_odd + F2_CAP * l2 + np.where(v3 > 0, F3_CAP, 0) * l3

@@ -400,13 +400,14 @@ def p2_predicted_over_w(f: FamilySpec) -> float:
     return -math.fsum(_prime_weights(f, 2)[1])
 
 
-def conductor_term(f: FamilySpec) -> tuple[float, float, float]:
+def conductor_term(f: FamilySpec, stats: dict | None = None) -> tuple[float, float, float]:
     """(C, C_lo, C_hi): weighted averages of log N / log X over the family,
-    at the heuristic conductor and at both ends of its sensitivity band."""
+    at the heuristic conductor and at both ends of its sensitivity band.
+    stats, when given, receives conductor_log_batch's "primes" count."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
     wv = np.outer(wa, wb).ravel()
-    log_n, log_lo, log_hi = conductor_log_batch(na, nb)
+    log_n, log_lo, log_hi = conductor_log_batch(na, nb, stats)
     w = float(wv.sum())
     lx = f.log_x
     return (
@@ -485,8 +486,10 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     p2 = p2_direct(f)
     timings["p2"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    c, c_lo, c_hi = conductor_term(f)
+    c_stats: dict = {}
+    c, c_lo, c_hi = conductor_term(f, c_stats)
     timings["conductor"] = time.perf_counter() - t0
+    counts["conductor_primes"] = c_stats["primes"]
     phihat0 = f.phi.phihat0
     phi0 = f.phi.phi0
     assembled = phihat0 * c + 0.5 * phi0 - (p1 + p2) / w

@@ -1,11 +1,13 @@
 """Short-model minimization, reduction types, conductor band heuristic."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ecdensity.arith import factorize
+from ecdensity import curves
+from ecdensity.arith import factorize, icbrt, sieve_primes
 from ecdensity.curves import (
     ConductorInfo,
     CurveParams,
@@ -14,6 +16,7 @@ from ecdensity.curves import (
     minimal_short_model,
     reduction_type,
 )
+from ecdensity.density import _axis_lattice, density_report, report_json
 
 
 def test_disc_formula():
@@ -145,19 +148,20 @@ def test_batch_minimizes_a_zero_by_sixth_powers_of_b():
 
 
 def test_batch_stops_sieving_once_every_remainder_is_prime():
-    # sqrt(max) is about 1.2e6 from (1, 2*7^6), whose odd part is
-    # 1801 * 7057 * 7351; once those are out, the sieve may stop long before
+    # (1, 2*7^6) has the largest odd part, 1801 * 7057 * 7351, so the sieve
+    # runs to its cube root 4,537 and leaves 7057 * 7351, two primes above it
     _assert_grid_matches_scalar([0, 1], [5**6, 2 * 7**6, 3])
-    # (0, 2003) leaves 2003^2 with additive reduction: stopping before 2003
-    # would count it as one leftover prime of exponent 2
+    # (0, 2003) has 2003^2 with additive reduction; 2003 is below the root
+    # here, so the sieve divides it out with exponent 2
     _assert_grid_matches_scalar([0, 1], [5**6, 2 * 7**6, 3, 2003])
 
 
 def test_batch_leftover_primes_on_both_sides_of_sqrt(rng):
     na = rng.sample(range(-400, 400), 10)
     nb = _nonsingular_b(na, rng.sample(range(-400, 400), 10))
-    # largest odd prime p >= 5 of each minimal |disc|/16, against the sieve
-    # bound sqrt(max) of the 2- and 3-free parts
+    # largest odd prime p >= 5 of each minimal |disc|/16, on both sides of
+    # sqrt(max) of the 2- and 3-free parts; the sieve itself stops lower, at
+    # the cube root, and the cells must match either way
     tops, rems = [], []
     for a in na:
         for b in nb:
@@ -170,9 +174,103 @@ def test_batch_leftover_primes_on_both_sides_of_sqrt(rng):
             rems.append(d)
             tops.append(max((p for p, _ in factorize(d).factors), default=1))
     root = math.isqrt(max(rems))
-    assert any(root // 4 < p <= root for p in tops)  # found by the sieve
-    assert any(p > root for p in tops)               # left over, prime
+    assert any(root // 4 < p <= root for p in tops)  # below sqrt(max)
+    assert any(p > root for p in tops)               # above sqrt(max)
     _assert_grid_matches_scalar(na, nb)
+
+
+def _odd_rems(na, nb):
+    """The 2- and 3-free part of each minimal |disc|/16, a-major, and the
+    sieve bound icbrt of their maximum."""
+    rems = []
+    for a in na:
+        for b in nb:
+            a1, b1, _ = minimal_short_model(a, b)
+            d = abs(4 * a1**3 + 27 * b1**2)
+            while d % 2 == 0:
+                d //= 2
+            while d % 3 == 0:
+                d //= 3
+            rems.append(d)
+    return rems, icbrt(max(rems))
+
+
+def _leftover(d, root):
+    """Prime factors (with exponent) of d above root: what the sieve leaves."""
+    return tuple((p, e) for p, e in factorize(d).factors if p > root)
+
+
+def test_icbrt():
+    assert [icbrt(n) for n in (0, 1, 7, 8, 26, 27, 63, 64)] == [0, 1, 1, 2, 2, 3, 3, 4]
+    for r in (10**5, 2**21 - 1, 1290000):
+        assert icbrt(r**3) == r and icbrt(r**3 - 1) == r - 1
+
+
+def test_batch_leftover_two_primes_above_cube_root():
+    # (-29, 19) leaves 277 * 317 and (-29, 40) leaves 107 * 127, every factor
+    # above icbrt(max) = 44; each is multiplicative and adds log(q * r)
+    na, nb = [-29, 1], [19, 40]
+    rems, root = _odd_rems(na, nb)
+    assert root == 44
+    assert _leftover(rems[0], root) == ((277, 1), (317, 1))
+    assert _leftover(rems[1], root) == ((107, 1), (127, 1))
+    _assert_grid_matches_scalar(na, nb)
+
+
+def test_batch_leftover_square_multiplicative():
+    # (-29, 42) leaves 79^2 and (-25, 66) leaves 83^2, neither prime dividing
+    # a: one factor of log q each, not log(q^2)
+    na, nb = [-29, -25], [42, 66]
+    rems, root = _odd_rems(na, nb)
+    assert _leftover(rems[0], root) == ((79, 2),) and 29 % 79 != 0
+    assert _leftover(rems[3], root) == ((83, 2),) and 25 % 83 != 0
+    assert conductor(-29, 42).bad_primes == ((79, "multiplicative", 1),)
+    _assert_grid_matches_scalar(na, nb)
+
+
+def test_batch_leftover_square_additive_on_a_zero_row():
+    # (0, q) has |disc|/16 = 27 q^2: q^2 above the cube root, q | a = 0
+    na, nb = [0], [1009, 2003]
+    rems, root = _odd_rems(na, nb)
+    assert rems == [1009**2, 2003**2] and root < 1009
+    assert conductor(0, 2003).bad_primes == ((2003, "additive", 2),)
+    _assert_grid_matches_scalar(na, nb)
+
+
+@pytest.mark.parametrize("a, b", [(1, 10**6 + 3), (10**4, 7), (3 * 10**4, 1)])
+def test_batch_lone_curve_with_one_large_coefficient(a, b):
+    # 2- and 3-free |disc|/16 of 4e12 to 2.7e13: the sieve stops at 15,874 to
+    # 30,000, where a square-root bound would run to 2e6 to 5.2e6
+    _assert_grid_matches_scalar([a], [b])
+
+
+def test_batch_sieve_stops_at_cube_root(monkeypatch):
+    limits = []
+    real = curves.sieve_primes
+
+    def spy(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(curves, "sieve_primes", spy)
+    na, nb = [10**4, -7, 0], [7, 1, 10**3 + 9]
+    _, root = _odd_rems(na, nb)
+    stats = {}
+    conductor_log_batch(np.array(na), np.array(nb), stats)
+    # the last call is the odd sieve; the earlier ones minimize
+    assert limits[-1] <= root
+    assert stats["primes"] == sum(1 for p in real(root) if p >= 5)
+    _assert_grid_matches_scalar(na, nb)
+
+
+def test_conductor_primes_counted_at_family_1e3(fam_1e3):
+    na = [int(a) for a in _axis_lattice(fam_1e3, 0)[0]]
+    nb = [int(b) for b in _axis_lattice(fam_1e3, 1)[0]]
+    _, root = _odd_rems(na, nb)
+    want = sum(1 for p in sieve_primes(root) if p >= 5)
+    rep = density_report(fam_1e3)
+    assert rep.term_counts["conductor_primes"] == want > 0
+    assert json.loads(report_json(rep))["term_counts"]["conductor_primes"] == want
 
 
 def test_batch_rejects_singular_and_shape_mismatch():
