@@ -8,12 +8,14 @@ whose transform has compact support; the shipped pair is the Fejer pair
 
 so phi(0) = nu and phihat(0) = 1.  Family weights are tensor products of the
 C-infinity bump u(t) = exp(-1/(t(1-t))) scaled to a box; their transforms
-are a fixed 256-node Gauss-Legendre sum per axis, at single points or on a
-whole progression by one factored product of two power tables (one complex
-exp per node and table, the rest by doubling), with the FFT magnitude
-profile of the unit bump, built once per process and scaled to each axis,
-supplying certified truncation radii for lattice sums (the quadrature
-itself is only trusted inside the profiled band).
+are a fixed 256-node Gauss-Legendre sum per axis, at single points, or on
+whole progressions for several steps at once: the nodes pair about the axis
+centre, so each progression is one real product of two power tables over
+the 128 node pairs (one complex exp per node and table, the rest by
+doubling).  The FFT magnitude profile of the unit bump, built once per
+process and scaled to each axis, supplies certified truncation radii for
+lattice sums (the quadrature itself is only trusted inside the profiled
+band).
 """
 
 from __future__ import annotations
@@ -117,15 +119,17 @@ def bump(t):
 
 
 def _power_rows(z: np.ndarray, count: int, first) -> np.ndarray:
-    """Rows first * z^t for t = 0..count-1: rows [m, 2m) are rows [0, m)
-    times z^m, with z^m by squaring, so row t is first times one power
-    z^(2^k) per set bit k of t, at most ceil(log2 count) products."""
-    rows = np.empty((count, z.size), dtype=complex)
-    rows[0] = first
+    """Rows first * z^t for t = 0..count-1 on the second-last axis, one
+    stack per leading index of z: rows [m, 2m) are rows [0, m) times z^m,
+    with z^m by squaring, so row t is first times one power z^(2^k) per set
+    bit k of t, at most ceil(log2 count) products."""
+    rows = np.empty(z.shape[:-1] + (count, z.shape[-1]), dtype=complex)
+    rows[..., 0, :] = first
+    z = z[..., None, :]
     m = 1
     while m < count:
         k = min(m, count - m)
-        np.multiply(rows[:k], z, out=rows[m:m + k])
+        np.multiply(rows[..., :k, :], z, out=rows[..., m:m + k, :])
         m += k
         z = z * z
     return rows
@@ -153,7 +157,9 @@ class SmoothWeight:
 
     what(u, v) factorizes as axis_transform(0, u) * axis_transform(1, v); each
     axis transform is a fixed Gauss-Legendre sum over the box edge, also
-    evaluated on progressions u = j * step by axis_progression.  radius(i,
+    evaluated on progressions u = j * step, j >= 0, for a batch of steps by
+    axis_progressions, which sums the same nodes in pairs about the axis
+    centre (axis_transform stays the full-node oracle).  radius(i,
     thresh) returns a frequency beyond which |axis transform| stays below
     thresh, certified by a dense FFT magnitude envelope rather than by the
     quadrature (which loses accuracy far outside the profiled band).
@@ -165,14 +171,19 @@ class SmoothWeight:
             raise ValueError(f"degenerate box {box}")
         self.box = tuple(float(t) for t in box)
         g, w, _ = _unit_bump_constants()
+        half = slice(GL_NODES // 2, None)  # the nodes g > 0
         self._ax = []
+        self._half = []
         self._env = []
         for lo, hi in ((x0, x1), (y0, y1)):
             s = hi - lo
             xs = lo + 0.5 * s * (g + 1.0)
             ws = 0.5 * s * w
-            fv = bump((xs - lo) / s)
-            self._ax.append((lo, hi, xs, ws * fv))
+            wf = ws * bump((xs - lo) / s)
+            self._ax.append((lo, hi, xs, wf))
+            # node pairs c +- d, each pair's two weights summed
+            self._half.append((0.5 * (lo + hi), 0.5 * s * g[half],
+                               wf[half] + wf[half.start - 1::-1]))
             self._env.append(self._axis_envelope(lo, hi))
         self._cache: tuple[dict, dict] = ({}, {})
 
@@ -205,19 +216,28 @@ class SmoothWeight:
         ph = np.exp(-2j * np.pi * np.multiply.outer(u_arr, xs))
         return ph @ wf
 
-    def axis_progression(self, i: int, step: float, n: int) -> np.ndarray:
-        """axis_transform(i, j * step) for j = -n..n: with j = q b + r, b ~
-        sqrt(n), e(-x j step) = e(-x q b step) e(-x r step), so two sqrt(n)-row
-        tables and one product replace n rows.  Each table holds the powers of
-        one number per node, z = e(-x step) and z^b, filled by doubling from
-        one exp per node (the outer table starts at the quadrature weights);
-        v(-j) = conj(v(j)) exactly."""
-        _, _, xs, wf = self._ax[i]
+    def axis_progressions(self, i: int, steps, n: int) -> np.ndarray:
+        """Rows axis_transform(i, j * step) for j = 0..n, one row per step.
+
+        The Gauss-Legendre nodes and weights are symmetric about 0 and the
+        bump about 1/2, so the nodes pair as c +- d about the axis centre c
+        with equal weights: the sines of each pair cancel, and the same
+        quadrature reads uhat(u) = e(-c u) sum over the 128 pairs of
+        W_d cos(2 pi d u), W_d the pair's summed weight.  With j = q b + r,
+        b ~ sqrt(n), the cosine is Re(e(d q b step) e(-d r step)), read from
+        two sqrt(n)-row tables of powers per node, filled by doubling from
+        one exp per node (the outer table starts at W_d): one real matrix
+        product over 2 x 128 columns, stacked over the steps.  The phase
+        e(-c j step) rides along as one more table column."""
+        c, d, wd = self._half[i]
+        steps = np.asarray(steps, dtype=float)[:, None]
         b = math.isqrt(n) + 1
-        inner = _power_rows(np.exp(-2j * np.pi * step * xs), b, 1.0)
-        outer = _power_rows(np.exp(-2j * np.pi * (b * step) * xs), n // b + 1, wf)
-        v = (outer @ inner.T).ravel()[: n + 1]
-        return np.concatenate((v[:0:-1].conj(), v))
+        inner = _power_rows(np.exp(-2j * np.pi * steps * np.append(d, c)), b, 1.0)
+        outer = _power_rows(np.exp(2j * np.pi * (b * steps) * np.append(d, -c)),
+                            n // b + 1, np.append(wd, 1.0))
+        cos = outer[..., :-1].view(float) @ inner[..., :-1].view(float).swapaxes(1, 2)
+        v = cos * outer[..., -1:] * inner[:, None, :, -1]
+        return v.reshape(steps.size, -1)[:, : n + 1]
 
     def _axis_scalar(self, i: int, u: float) -> complex:
         key = round(float(u), 12)

@@ -59,7 +59,7 @@ def _primitive_root(p: int) -> int:
 def power_table(g: int, n: int, q: int) -> np.ndarray:
     """g^t mod q for t = 0..n-1 as int64 (q < 3e9).  With t = b i + j and
     b ~ sqrt(n), the b powers g^j and the n/b powers g^(b i) come from two
-    short loops and one outer product mod q, as in axis_progression."""
+    short loops and one outer product mod q, as in axis_progressions."""
     b = math.isqrt(n) + 1
     runs = []
     for step, count in ((g % q, b), (pow(g, b, q), n // b + 1)):

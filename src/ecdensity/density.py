@@ -25,13 +25,14 @@ turning the inner double sum into
 whose (h, k) window shrinks with the transform decay of the weight.  Terms
 with |what| < tail_tol are dropped, so the routes differ by that truncation,
 not by rounding: 8.5e-5, 1.6e-4 and 4.0e-3 relative at X = 1e3, 1e4, 1e5 by
-default.  Per prime, _dual_window finds the kept cells with h >= 0 and
-k > 0 (all poisson_term_count needs) and _dual_sum builds them as a
+default.  _dual_windows finds each prime's kept cells with h >= 0 and
+k > 0 (all poisson_term_count needs), from weight transforms evaluated for
+a group of consecutive primes per call, and _dual_sum builds them as a
 staircase of row blocks whose phases are indexed by discrete logs; each
 built cell, with one real coefficient per column, also serves -h and -k, so
-the p1_cells count of built cells is about a quarter of p1_terms and every
-prime's term is real to the bit (p1_imag_leak is 0.0).  On a 2-core host
-P1 takes about 0.4 s at X = 1e5 and 3.6 s at 1e6.
+the p1_cells count of built cells is about a quarter to a third of p1_terms
+and every prime's term is real to the bit (p1_imag_leak is 0.0).  On a
+2-core host P1 takes about 0.25 s at X = 1e5 and 2.5 s at 1e6.
 
 Both routes and P2 read their primes and weights
 w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
@@ -48,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -68,7 +69,17 @@ from .frobenius import (
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
 _P1_CHUNK = 16
+# The dual staircase is contracted in one row block per _P1_BLOCK_CELLS kept
+# cells, at most _P1_BLOCKS; a block costs about 12 us besides its cells, and
+# on a 2-core host the block loop took 28 against 38 ms at X = 1e4 with 8
+# blocks at every prime (196 against 208 ms at 1e5, level at 1e6).
+# _P1_GROUP consecutive primes share one axis_progressions call per axis:
+# the transform stage at 1e5 read 57, 31, 27, 27, 29 and 37 ms in groups of
+# 1, 4, 8, 16, 32 and 64 primes, and 0.24 against 0.31 s at 1e6 in groups of
+# 16 against 8.
 _P1_BLOCKS = 8
+_P1_BLOCK_CELLS = 8000
+_P1_GROUP = 16
 # sum of the P1 primes below which p1_direct stays serial: on a 2-core host a
 # two-process pool lost to the serial loop up to X = 3e4 (sum 134,742: 0.034
 # against 0.033 s; 0.040 against 0.023 s at 2e4) and won from 3.5e4 (166,546:
@@ -280,16 +291,28 @@ class _DualWindow(NamedTuple):
     kept: int         # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
 
 
-def _dual_window(f: FamilySpec, p: int, radii: tuple[float, float]) -> _DualWindow:
-    """The window at p over _dual_extent, truncated at f.tail_tol."""
-    hmax, kmax = _dual_extent(f, p, radii)
-    k = np.arange(1, kmax + 1, dtype=np.int64)
-    keep = k % p != 0  # (k/p) = 0 there, exactly
-    va = f.weight.axis_progression(0, f.a_scale / p, hmax)[hmax:]
-    vb = f.weight.axis_progression(1, f.b_scale / p, kmax)[kmax + 1:][keep]
-    cuts = (_row_cuts(np.abs(va), np.abs(vb), f.tail_tol) if vb.size
-            else np.zeros(va.size, dtype=np.intp))
-    return _DualWindow(k[keep], va, vb, cuts, 4 * int(cuts.sum()) - 2 * int(cuts[0]))
+def _dual_windows(f: FamilySpec, primes: list[int], radii: tuple[float, float],
+                  stats: dict | None = None) -> Iterator[tuple[int, _DualWindow]]:
+    """(p, window at p) over _dual_extent, truncated at f.tail_tol, for each
+    prime in turn.  The axis transforms come from one axis_progressions call
+    per axis and group of _P1_GROUP consecutive primes, each group padded to
+    its widest extent; stats["points"] counts the points they evaluate."""
+    for g in range(0, len(primes), _P1_GROUP):
+        group = primes[g:g + _P1_GROUP]
+        ext = [_dual_extent(f, p, radii) for p in group]
+        ps = np.array(group, dtype=float)
+        vas = f.weight.axis_progressions(0, f.a_scale / ps, max(e[0] for e in ext))
+        vbs = f.weight.axis_progressions(1, f.b_scale / ps, max(e[1] for e in ext))
+        if stats is not None:
+            stats["points"] = stats.get("points", 0) + vas.size + vbs.size
+        for p, (hmax, kmax), va, vb in zip(group, ext, vas, vbs):
+            k = np.arange(1, kmax + 1, dtype=np.int64)
+            keep = k % p != 0  # (k/p) = 0 there, exactly
+            va, vb = va[: hmax + 1], vb[1 : kmax + 1][keep]
+            cuts = (_row_cuts(np.abs(va), np.abs(vb), f.tail_tol) if vb.size
+                    else np.zeros(va.size, dtype=np.intp))
+            yield p, _DualWindow(k[keep], va, vb, cuts,
+                                 4 * int(cuts.sum()) - 2 * int(cuts[0]))
 
 
 def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
@@ -308,7 +331,8 @@ def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
     one extra stretch of ones for the rows h = 0 mod p and a 0 sentinel.
     Columns go in stable descending |vb| order and the non-empty rows in
     descending kept count, so the kept cells form a staircase; it is
-    contracted in _P1_BLOCKS row blocks, each as wide as its widest row."""
+    contracted in one row block per _P1_BLOCK_CELLS kept cells, at most
+    _P1_BLOCKS, each as wide as its widest row."""
     k, va, vb, cuts, _ = win
     cols = np.argsort(-np.abs(vb), kind="stable")
     pw, dl = dlog_table(p)
@@ -327,7 +351,8 @@ def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
     omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
     s_p = 0.0
     cells = 0
-    n, nblk = rows.size, min(_P1_BLOCKS, rows.size)
+    n = rows.size
+    nblk = min(_P1_BLOCKS, n, -(-int(cuts.sum()) // _P1_BLOCK_CELLS))
     for j in range(nblk):
         r = rows[j * n // nblk : (j + 1) * n // nblk]
         width, low = int(cuts[r[0]]), int(cuts[r[-1]])
@@ -348,25 +373,27 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     terms = cells = 0
     window_s = sum_s = 0.0
     primes = _prime_weights(f, 1)[0]
-    radii = _dual_radii(f)
-    for p in primes:
-        t0 = time.perf_counter()
-        win = _dual_window(f, p, radii)
+    counts: dict = {"points": 0}
+    t0 = time.perf_counter()
+    for p, win in _dual_windows(f, primes, _dual_radii(f), counts):
         t1 = time.perf_counter()
         s_p, c = _dual_sum(p, win)
+        t2 = time.perf_counter()
         window_s += t1 - t0
-        sum_s += time.perf_counter() - t1
+        sum_s += t2 - t1
         terms += win.kept
         cells += c
         w1 = float(f.phi.phihat(math.log(p) / lx))
         v = psi4(p) * (2.0 * math.log(p) / p**1.5) * w1 * s_p
         re.append(v.real)
         im.append(v.imag)
+        t0 = time.perf_counter()
     total = -(f.a_scale * f.b_scale / lx) * complex(math.fsum(re), math.fsum(im))
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = terms
         stats["cells"] = cells
+        stats["points"] = counts["points"]
         stats["imag_leak"] = abs(total.imag)
         stats["transform_s"], stats["contract_s"] = window_s, sum_s
     return total.real
@@ -374,8 +401,8 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
 
 def poisson_term_count(f: FamilySpec) -> int:
     """Summand count of the dual route without evaluating the sums."""
-    radii = _dual_radii(f)
-    return sum(_dual_window(f, p, radii).kept for p in _prime_weights(f, 1)[0])
+    windows = _dual_windows(f, _prime_weights(f, 1)[0], _dual_radii(f))
+    return sum(win.kept for _, win in windows)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +509,8 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     counts["p1_primes"] = stats.get("primes", 0)
     if "cells" in stats:
         counts["p1_cells"] = stats["cells"]
+    if "points" in stats:
+        counts["p1_points"] = stats["points"]
     t0 = time.perf_counter()
     p2 = p2_direct(f)
     timings["p2"] = time.perf_counter() - t0

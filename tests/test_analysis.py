@@ -105,20 +105,57 @@ def test_axis_transform_against_quadrature():
 # n * step stays in the band |u| <= 41 where the quadrature is trusted; the
 # last two are the widest progressions the pipeline builds, (A/p, hmax) at the
 # top P1 prime p = 15823 of X = 1e6 and at p = 79427 with A = 1e7^(1/3)
-@pytest.mark.parametrize("step, n", [(0.5, 0), (0.5, 1), (1.3, 15), (0.31, 7),
-                                     (0.1, 205), (0.0146, 1400), (0.0293, 1400),
-                                     (0.00631991404916893, 3243),
-                                     (0.0027124714392232907, 7557)])
+PROGRESSIONS = [(0.5, 0), (0.5, 1), (1.3, 15), (0.31, 7), (0.1, 205), (0.0146, 1400),
+                (0.0293, 1400), (0.00631991404916893, 3243),
+                (0.0027124714392232907, 7557)]
+
+
+@pytest.mark.parametrize("step, n", PROGRESSIONS)
 def test_axis_progression_matches_axis_transform(step, n):
     w = SmoothWeight((0.5, 1.0, 0.25, 2.0))
-    j = np.arange(-n, n + 1)
+    j = np.arange(n + 1)
     for i in (0, 1):
-        v = w.axis_progression(i, step, n)
-        assert v.shape == (2 * n + 1,)
-        assert np.abs(v - w.axis_transform(i, j * step)).max() <= 1e-16
-        mags = np.abs(v)
-        assert np.array_equal(mags, mags[::-1].copy())
-        assert np.array_equal(v[:n][::-1], v[n + 1:].conj())
+        v = w.axis_progressions(i, [step], n)
+        assert v.shape == (1, n + 1)
+        want = w.axis_transform(i, j * step)
+        assert np.abs(v[0] - want).max() <= 1e-16
+        # the dual fold reads v(-j) as conj v(j): the full-node oracle's
+        # negative half is that mirror to the bit
+        assert np.array_equal(w.axis_transform(i, -j * step), want.conj())
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, (0.5, 1.0, 0.25, 2.0)])
+def test_grouped_progressions_match_axis_transform(box):
+    # one call for every step, padded to the longest n; each row's own
+    # prefix is checked against the full-node oracle
+    w = SmoothWeight(box)
+    steps = [s for s, _ in PROGRESSIONS]
+    nmax = max(n for _, n in PROGRESSIONS)
+    for i in (0, 1):
+        rows = w.axis_progressions(i, steps, nmax)
+        assert rows.shape == (len(steps), nmax + 1)
+        for row, (step, n) in zip(rows, PROGRESSIONS):
+            want = w.axis_transform(i, np.arange(n + 1) * step)
+            assert np.abs(row[: n + 1] - want).max() <= 1e-16
+
+
+def _pairs_about_centre(xs, wf, lo, hi) -> bool:
+    """Nodes c +- d to rounding, and weights equal across each pair up to an
+    odd part (half the summed |difference|, all the half-node form drops)
+    within rounding of the axis mass: the premise of axis_progressions."""
+    c, scale = 0.5 * (lo + hi), max(abs(lo), abs(hi))
+    return (np.abs(xs + xs[::-1] - 2.0 * c).max() <= 4.0 * np.finfo(float).eps * scale
+            and 0.5 * np.abs(wf - wf[::-1]).sum() <= 1e-15 * wf.sum())
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, (0.5, 1.0, 0.25, 2.0), (-3.0, -1.0, 0.1, 0.4)])
+def test_quadrature_nodes_pair_about_axis_centre(box):
+    w = SmoothWeight(box)
+    for lo, hi, xs, wf in w._ax:
+        assert _pairs_about_centre(xs, wf, lo, hi)
+        bad = wf.copy()
+        bad[120] *= 1.0 + 1e-12  # one weight of the pair (120, 135)
+        assert not _pairs_about_centre(xs, bad, lo, hi)
 
 
 def test_axis_progression_against_mpmath():
@@ -135,10 +172,10 @@ def test_axis_progression_against_mpmath():
 
     for u in (0.0, 1.3, 10.7, 20.49):
         step = u / 10  # j = 10 = 2 * 4 + 2 reaches both factor tables
-        v = w.axis_progression(0, step, 10)
+        v = w.axis_progressions(0, [step], 10)
         want = exact(10 * mp.mpf(step))
-        assert abs(v[20] - want) <= 1e-16
-        assert abs(v[0] - want.conjugate()) <= 1e-16
+        assert abs(v[0, 10] - want) <= 1e-16
+        assert abs(complex(w.axis_transform(0, -10 * step)) - want.conjugate()) <= 1e-16
 
 
 def test_what_factorizes_and_conjugates():

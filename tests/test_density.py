@@ -28,7 +28,7 @@ from ecdensity.density import (
     _dual_extent,
     _dual_radii,
     _dual_sum,
-    _dual_window,
+    _dual_windows,
     _lattice_block,
     _prime_weights,
     _p1_direct_chunk,
@@ -289,6 +289,46 @@ def test_poisson_term_count_pinned():
         assert poisson_term_count(family(x)) == want
 
 
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_grouped_transforms_change_no_term(x, monkeypatch):
+    # one axis_progressions call per prime against the default groups: the
+    # same cells, and P1 to rounding of the transform
+    f = family(x)
+    grouped = {}
+    p1 = p1_poisson(f, grouped)
+    terms = poisson_term_count(f)
+    monkeypatch.setattr(density, "_P1_GROUP", 1)
+    single = {}
+    assert p1_poisson(f, single) == pytest.approx(p1, rel=1e-13, abs=0.0)
+    assert (single["terms"], single["cells"]) == (grouped["terms"], grouped["cells"])
+    assert poisson_term_count(f) == terms == grouped["terms"]
+    assert single["points"] <= grouped["points"]  # no padding in groups of one
+
+
+@pytest.mark.parametrize("x", [1e8, 10.0])
+def test_dual_route_with_empty_windows(x):
+    # at 1e8 every one of the 23 P1 windows has kmax = 0; at 10 there is no
+    # P1 prime at all
+    f = family(x, nu=Fraction(1, 4))
+    stats = {}
+    assert p1_poisson(f, stats) == 0.0
+    assert stats["terms"] == stats["cells"] == 0
+    assert stats["primes"] == (23 if x == 1e8 else 0)
+    assert poisson_term_count(f) == 0
+
+
+def test_p1_points_pinned(fam_1e3):
+    # transform points of the dual route, group padding included: at least
+    # the h = 0..hmax and k = 0..kmax of every prime
+    rep = density_report(fam_1e3, method="poisson")
+    radii = _dual_radii(fam_1e3)
+    bare = sum(h + k + 2 for h, k in (_dual_extent(fam_1e3, p, radii)
+                                      for p in _prime_weights(fam_1e3, 1)[0]))
+    assert rep.term_counts["p1_points"] == 6_328 >= bare
+    assert json.loads(report_json(rep))["term_counts"]["p1_points"] == 6_328
+    assert "p1_points" not in density_report(fam_1e3, method="direct").term_counts
+
+
 def test_row_cuts_apply_the_exact_product_test():
     rng = np.random.default_rng(5)
     absa = np.append(rng.random(300), 0.0)
@@ -333,7 +373,7 @@ def _dense_dual_term(f, p):
 def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
-    win = _dual_window(f, p, _dual_radii(f))
+    win = next(_dual_windows(f, [p], _dual_radii(f)))[1]
     got, cells = _dual_sum(p, win)
     want, want_n, want_quarter = _dense_dual_term(f, p)
     assert win.kept == want_n > 0
@@ -341,19 +381,27 @@ def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
 
+def _oracle_axes(f, p, h, k):
+    """va at h A/p and vb at k B/p by the full-node transform."""
+    wt = f.weight
+    return (wt.axis_transform(0, h * (f.a_scale / p)),
+            wt.axis_transform(1, k * (f.b_scale / p)))
+
+
 @pytest.mark.parametrize("x", [1e3, 1e4])
 def test_dual_row_counts_are_mirror_symmetric(x):
-    # the fold builds rows h >= 0 only; it needs row -h to keep row h's count
+    # the fold builds rows h >= 0 only; it needs row -h to keep row h's
+    # count, and the window's half rows to keep half of each full row
     f = family(x)
-    wt, tol, radii = f.weight, f.tail_tol, _dual_radii(f)
-    for p in _prime_weights(f, 1)[0]:
+    tol, radii = f.tail_tol, _dual_radii(f)
+    for p, win in _dual_windows(f, _prime_weights(f, 1)[0], radii):
         hmax, kmax = _dual_extent(f, p, radii)
         k = np.arange(-kmax, kmax + 1)
-        va = wt.axis_progression(0, f.a_scale / p, hmax)
-        vb = wt.axis_progression(1, f.b_scale / p, kmax)[k % p != 0]
-        counts = _row_cuts(np.abs(va), np.abs(vb), tol)
+        va, vb = _oracle_axes(f, p, np.arange(-hmax, hmax + 1), k)
+        counts = _row_cuts(np.abs(va), np.abs(vb[k % p != 0]), tol)
         assert counts.size == 2 * hmax + 1
         assert np.array_equal(counts, counts[::-1])
+        assert np.array_equal(counts[hmax:], 2 * win.cuts)
 
 
 @pytest.mark.parametrize("x", [1e3, 1e4])
@@ -361,18 +409,18 @@ def test_dual_columns_fold_over_k(x):
     # the fold builds columns k > 0 only; it needs vb(-k) to be conj vb(k) to
     # the bit and every row to keep as many columns -k as columns k
     f = family(x)
-    wt, tol, radii = f.weight, f.tail_tol, _dual_radii(f)
-    for p in _prime_weights(f, 1)[0]:
+    tol, radii = f.tail_tol, _dual_radii(f)
+    for p, win in _dual_windows(f, _prime_weights(f, 1)[0], radii):
         hmax, kmax = _dual_extent(f, p, radii)
-        k = np.arange(-kmax, kmax + 1)
-        va = wt.axis_progression(0, f.a_scale / p, hmax)
-        vb = wt.axis_progression(1, f.b_scale / p, kmax)
-        pos, neg = vb[kmax + 1:], vb[:kmax][::-1]
-        assert np.array_equal(np.ascontiguousarray(neg).view(np.int64),
-                              pos.conj().view(np.int64))
-        both = _row_cuts(np.abs(va), np.abs(vb[k % p != 0]), tol)
-        half = _row_cuts(np.abs(va), np.abs(pos[k[kmax + 1:] % p != 0]), tol)
+        k = np.arange(1, kmax + 1)
+        va, pos = _oracle_axes(f, p, np.arange(hmax + 1), k)
+        neg = f.weight.axis_transform(1, -k * (f.b_scale / p))
+        assert np.array_equal(neg.view(np.int64), pos.conj().view(np.int64))
+        keep = k % p != 0
+        both = _row_cuts(np.abs(va), np.abs(np.concatenate((neg[keep], pos[keep]))), tol)
+        half = _row_cuts(np.abs(va), np.abs(pos[keep]), tol)
         assert np.array_equal(both, 2 * half)
+        assert np.array_equal(win.k, k[keep]) and np.array_equal(win.cuts, half)
 
 
 def test_dual_report_splits_the_p1_timing(fam_250):
