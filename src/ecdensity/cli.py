@@ -217,11 +217,13 @@ def _check_lattices(cfg: RunConfig) -> None:
 
 
 def _timing_summary(rep) -> str:
-    """Stage seconds, P1 term counts and conductor sieve primes of one report,
-    for the stderr summary."""
+    """Stage seconds, P1 term counts (and the direct route's stacked row
+    transforms) and conductor sieve primes of one report, for the stderr
+    summary."""
     parts = [f"{k}={rep.timings[k]:.3f}s" for k in
              ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
-    parts += [f"{k}={rep.term_counts[k]}" for k in ("p1_terms", "p1_cells", "conductor_primes")
+    parts += [f"{k}={rep.term_counts[k]}" for k in
+              ("p1_terms", "p1_cells", "p1_row_stacks", "conductor_primes")
               if k in rep.term_counts]
     return " ".join(parts)
 

@@ -14,9 +14,13 @@ where W is the total weight, C(X) the weighted mean of log N / log X, and
 
 P1 has two routes.  The direct route contracts, per prime, the lambda block
 over the residues the (a, b) lattice hits against their weight sums,
-u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.  The block
-comes from lambda_rows, or from the disk cache when cache_dir is set and
-p <= TABLE_CAP.  The dual route applies 2D Poisson summation per prime,
+u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.
+_lattice_blocks builds the blocks of a chunk of primes (_P1_CHUNK of them
+for P1, every P2 prime at once) by one lambda_blocks call, which runs the
+residue-row FFTs of consecutive primes sharing a transform length as one
+stacked transform (term_counts["p1_row_stacks"] counts them for P1); when
+cache_dir is set, each p <= TABLE_CAP is sliced from its disk-cached table
+instead.  The dual route applies 2D Poisson summation per prime,
 turning the inner double sum into
 
     -(AB/log X) sum_p psi4(p) (2 log p / p^{3/2}) phihat(log p/log X)
@@ -61,9 +65,9 @@ from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import (
     TABLE_CAP,
     get_table,
+    lambda_blocks,
     lambda_p,
     lambda_p2,
-    lambda_rows,
 )
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
@@ -80,11 +84,12 @@ _P1_CHUNK = 16
 _P1_BLOCKS = 8
 _P1_BLOCK_CELLS = 8000
 _P1_GROUP = 16
-# sum of the P1 primes below which p1_direct stays serial: on a 2-core host a
-# two-process pool lost to the serial loop up to X = 3e4 (sum 134,742: 0.034
-# against 0.033 s; 0.040 against 0.023 s at 2e4) and won from 3.5e4 (166,546:
-# 0.037 against 0.038 s; 0.040 against 0.044 s at 4e4, 0.081 against 0.111 s
-# at 1e5, 0.157 against 0.252 s at 2e5)
+# sum of the P1 primes below which p1_direct stays serial: on a 2-core host,
+# with stacked row transforms, a two-process pool lost to the serial loop at
+# X = 2e4 (sum 80,184: 0.081 against 0.042 s, medians of 15), tied at 3e4
+# (134,742: 0.064 against 0.068 s, 7 of 15 won) and won from 3.5e4 (166,546:
+# 0.070 against 0.074 s, 11 of 15; 0.079 against 0.085 s at 4e4, 0.095
+# against 0.113 s at 5e4, 0.168 against 0.243 s at 1e5)
 _P1_POOL_WORK = 150_000
 
 
@@ -187,34 +192,39 @@ def _prime_weights(f: FamilySpec, k: int) -> tuple[list[int], list[float]]:
 # P1, direct route
 
 
-def _lattice_block(f: FamilySpec, p: int, na: np.ndarray, wa: np.ndarray,
-                   nb: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, lam, v) at p: u and v the weight sums of the residues the a and b
-    axes hit, lam the lambda block over those residues.  The block is sliced
-    from the cached table when cache_dir is set and p <= TABLE_CAP, and built
-    by lambda_rows otherwise."""
-    sa = np.bincount(na % p, weights=wa, minlength=p)
-    sb = np.bincount(nb % p, weights=wb, minlength=p)
-    ares = np.flatnonzero(sa)
-    bres = np.flatnonzero(sb)
-    if f.cache_dir is not None and p <= TABLE_CAP:
-        lam = get_table(p, f.cache_dir).table[np.ix_(ares, bres)]
-    else:
-        lam = lambda_rows(p, ares, bres)
-    return sa[ares], lam.astype(np.float64), sb[bres]
-
-
-def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]]) -> tuple[list[float], int]:
-    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, cells contracted)."""
+def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(u, lam, v) at each p of ps in order: u and v the weight sums of the
+    residues the a and b axes hit, lam the lambda block over those residues.
+    The block is sliced from the cached table when cache_dir is set and
+    p <= TABLE_CAP, one prime at a time; the other primes are built by one
+    lambda_blocks call, which stacks the transforms of consecutive primes
+    and counts them in stats["row_stacks"]."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
+    sums = []
+    for p in ps:
+        sa = np.bincount(na % p, weights=wa, minlength=p)
+        sb = np.bincount(nb % p, weights=wb, minlength=p)
+        sums.append((sa, sb, np.flatnonzero(sa), np.flatnonzero(sb)))
+    cached = [f.cache_dir is not None and p <= TABLE_CAP for p in ps]
+    built = lambda_blocks([p for p, c in zip(ps, cached) if not c],
+                          [s[2] for s, c in zip(sums, cached) if not c],
+                          [s[3] for s, c in zip(sums, cached) if not c], stats)
+    for p, c, (sa, sb, ares, bres) in zip(ps, cached, sums):
+        lam = get_table(p, f.cache_dir).table[np.ix_(ares, bres)] if c else next(built)
+        yield sa[ares], lam.astype(np.float64), sb[bres]
+
+
+def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]]) -> tuple[list[float], dict]:
+    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, counts of
+    the cells contracted and of the stacked row transforms run)."""
+    counts = {"cells": 0, "row_stacks": 0}
     terms = []
-    cells = 0
-    for p, w in pairs:
-        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
+    for (p, w), (u, lam, v) in zip(pairs, _lattice_blocks(f, [p for p, _ in pairs], counts)):
         terms.append(w * float(u @ lam @ v))
-        cells += lam.size
-    return terms, cells
+        counts["cells"] += lam.size
+    return terms, counts
 
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
@@ -230,8 +240,9 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
         parts = [_p1_direct_chunk(f, c) for c in chunks]
     if stats is not None:
         stats["primes"] = len(primes)
-        stats["terms"] = direct_term_count(f)
-        stats["cells"] = sum(c for _, c in parts)
+        stats["terms"] = sum(p * p for p in primes)
+        for key in ("cells", "row_stacks"):
+            stats[key] = sum(c[key] for _, c in parts)
     return math.fsum(t for terms, _ in parts for t in terms)
 
 
@@ -411,12 +422,9 @@ def poisson_term_count(f: FamilySpec) -> int:
 
 def p2_direct(f: FamilySpec) -> float:
     """P2 over p < X^(nu/2), with lambda(p^2) = lambda(p)^2 - p throughout."""
-    na, wa = _axis_lattice(f, 0)
-    nb, wb = _axis_lattice(f, 1)
-    terms = []
-    for p, w in zip(*_prime_weights(f, 2)):
-        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
-        terms.append(w * float(u @ (lam * lam - p) @ v))
+    primes, weights = _prime_weights(f, 2)
+    terms = [w * float(u @ (lam * lam - p) @ v)
+             for p, w, (u, lam, v) in zip(primes, weights, _lattice_blocks(f, primes))]
     return math.fsum(terms)
 
 
@@ -507,6 +515,8 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
         timings["p1_contract"] = stats["contract_s"]
     counts["p1_terms"] = stats.get("terms", 0)
     counts["p1_primes"] = stats.get("primes", 0)
+    if "row_stacks" in stats:
+        counts["p1_row_stacks"] = stats["row_stacks"]
     if "cells" in stats:
         counts["p1_cells"] = stats["cells"]
     if "points" in stats:

@@ -5,14 +5,18 @@ nonsingular reductions; the same Legendre-sum value is used at singular
 residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
-Residue rows come from one evaluator, lambda_rows: real-FFT linear
-correlations against the doubled Legendre sequence for the base rows 1 and g
-(g the primitive root of characters.dlog_table), plus row 0 only when some
+Residue rows come from one evaluator, lambda_blocks, which takes a list of
+primes (lambda_rows is its one-prime call): real-FFT linear correlations
+against the doubled Legendre sequence for the base rows 1 and g (g the
+primitive root of characters.dlog_table), plus row 0 only when some
 alpha = 0 (mod p) is asked for, and every other row by the quadratic twist
 lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta) (Silverman, AEC
 III.1) as one integer gather, so a full table costs three correlations plus
-O(p^2).  The one discrete-log table mod p supplies everything mod p the rows
-need: the Legendre sequence, the twist d and its (d/p), and d^-3.
+O(p^2).  The correlations of consecutive primes that share one FFT length
+run as one stacked rfft/irfft, which saves the per-call overhead that
+dominates below p of a few thousand.  The one discrete-log table mod p
+supplies everything mod p the rows need: the Legendre sequence, the twist d
+and its (d/p), and d^-3.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +38,16 @@ from .characters import dlog_table
 TABLE_MAGIC = b"FRBT"
 TABLE_VERSION = 2
 TABLE_CAP = 1000  # the largest p read through the disk cache; auto routing's cutoff
+# Residue-row correlations of consecutive primes that share one FFT length
+# are stacked into one rfft/irfft per run of at most _STACK_SAMPLES samples.
+# On a 2-core host (one BLAS thread) direct P1 at family(1e4) took 33 ms in
+# runs of one prime against 27, 26 and 25 ms at caps of 2^14, 2^15 and 2^16
+# (medians of 60), and at 1e5 282 ms against 242 and 230 ms at 2^15 and 2^16
+# (medians of 21), within the host's noise of each other.  2^16 raised the
+# peak RSS of P2 plus the conductor average at family(1e7) from 53.2 to
+# 54.1 MiB; 2^15 leaves it at 53.3.  Under 2^15, primes above 2,048 are runs
+# of one.
+_STACK_SAMPLES = 1 << 15
 
 def _check_p(p: int) -> None:
     if p <= 3 or not is_prime(p):
@@ -83,46 +98,107 @@ def _audit(lam: np.ndarray, p: int) -> None:
         raise RuntimeError(f"table audit failed for p={p}")
 
 
-def lambda_rows(p: int, alphas, betas) -> np.ndarray:
-    """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
-    (len(alphas), len(betas)).
+def _fft_len(p: int) -> int:
+    """The least power of two >= 2p, the length of p's linear correlation."""
+    return 1 << (2 * p - 1).bit_length()
+
+
+def _row_runs(ps: list[int], nrows: list[int], cap: int) -> Iterator[range]:
+    """Split ps into runs of consecutive primes with one FFT length n whose
+    stacked samples, (1 + nrows[i]) n per prime (its Legendre row and its
+    count rows), stay within cap; a prime that alone exceeds cap is a run."""
+    start = used = 0
+    for i, p in enumerate(ps):
+        need = (1 + nrows[i]) * _fft_len(p)
+        if i > start and (_fft_len(p) != _fft_len(ps[start]) or used + need > cap):
+            yield range(start, i)
+            start, used = i, 0
+        used += need
+    if ps:
+        yield range(start, len(ps))
+
+
+def _base_rows(ps: list[int], nrows: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(pw, dl, base) for each prime of a run sharing one FFT length n: the
+    dlog table mod p and the int16 base rows c = 1, g (0, 1, g when nrows[i]
+    is 3) of lambda(c, beta), beta = 0..p-1.  The doubled Legendre sequences and
+    the value counts of x^3 + c x are stacked, zero-padded to n, into one
+    rfft each, and all rows come back from one irfft."""
+    n = _fft_len(ps[0])
+    tabs = [dlog_table(p) for p in ps]
+    # each prime's rows of counts and corr
+    spans = [slice(e - k, e) for k, e in zip(nrows, np.cumsum(nrows).tolist())]
+    ls2 = np.zeros((len(ps), n))
+    counts = np.zeros((sum(nrows), n))
+    for p, (pw, dl), ls, span in zip(ps, tabs, ls2, spans):
+        ls[:p] = np.where(dl & 1, -1.0, 1.0)  # (t/p) = (-1)^dl(t)
+        ls[0] = 0.0
+        ls[p : 2 * p] = ls[:p]
+        x = np.arange(p, dtype=np.int64)
+        cubes = x * x % p * x % p
+        rows = counts[span]
+        cs = (0, 1, int(pw[1])) if len(rows) == 3 else (1, int(pw[1]))
+        for row, c in zip(rows, cs):
+            row[:p] = np.bincount((cubes + c * x) % p, minlength=p)
+    owner = np.repeat(np.arange(len(ps)), nrows)
+    spec = np.conj(np.fft.rfft(counts, axis=1))
+    spec *= np.fft.rfft(ls2, axis=1)[owner]
+    corr = np.fft.irfft(spec, n, axis=1)
+    out = []
+    for p, (pw, dl), span in zip(ps, tabs, spans):
+        base = -np.rint(corr[span, :p])
+        _audit(base, p)
+        out.append((pw, dl, base.astype(np.int16)))
+    return out
+
+
+def lambda_blocks(ps, alphas, betas, stats: dict | None = None) -> Iterator[np.ndarray]:
+    """lambda(alpha, beta, p) over alphas[i] x betas[i] at each p = ps[i],
+    yielded in order as int16 arrays of shape (len(alphas[i]), len(betas[i])).
 
     Base rows c = 1, g, and c = 0 only when some alpha = 0 (mod p), are the
     correlation -sum_t counts_c[t] ((t + beta)/p) of the value counts of
     x^3 + c x, taken as a linear correlation against the doubled Legendre
-    sequence by real FFTs at the least power of two >= 2p; exact after
+    sequence by real FFTs at n, the least power of two >= 2p; exact after
     rounding (|lambda| < 2 sqrt(p) << the double mantissa; the audits catch a
-    failure).  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
-    d = g^floor(t/2), so it is read off as lambda(alpha, beta) =
-    (d/p) lambda(c, beta d^-3 mod p), with (d/p) = (-1)^floor(t/2) and
-    d^-3 = g^(-3 floor(t/2)).
+    failure).  Consecutive primes with one n are transformed together, one
+    stacked rfft of their Legendre sequences, one of their counts and one
+    irfft per run, each run holding at most _STACK_SAMPLES samples (a prime
+    above that is a run of its own); stats["row_stacks"], when stats is
+    given, is increased by the number of runs.  Any other row alpha = g^t is
+    c d^2 with c = g^(t mod 2) and d = g^floor(t/2), so it is read off as
+    lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
+    (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
     """
-    _check_p(p)
-    pw, dl = dlog_table(p)
-    ls = np.where(dl & 1, -1.0, 1.0)  # (t/p) = (-1)^dl(t)
-    ls[0] = 0.0
-    a = np.asarray(alphas, dtype=np.int64) % p
-    zero = bool((a == 0).any())
-    x = np.arange(p, dtype=np.int64)
-    cubes = x * x % p * x % p
-    cs = (0, 1, int(pw[1])) if zero else (1, int(pw[1]))
-    counts = np.stack([np.bincount((cubes + c * x) % p, minlength=p) for c in cs])
-    n = 1 << (2 * p - 1).bit_length()
-    spec = np.fft.rfft(np.tile(ls, 2), n)[None, :] * np.conj(np.fft.rfft(counts, n, axis=1))
-    base = -np.rint(np.fft.irfft(spec, n, axis=1)[:, :p])
-    _audit(base, p)
-    base = base.astype(np.int16)
-    # alpha = g^t -> base row c = g^(t & 1), twist d = g^(t >> 1); alpha = 0
-    # reads row 0 with d = 1 (dl[0] = 0)
-    t = dl[a]
-    row = np.where(a == 0, 0, 1 + (t & 1)) if zero else t & 1
-    half = t >> 1
-    dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
-    step = pw[-3 * half % (p - 1)].astype(dt)
-    b = (np.asarray(betas, dtype=np.int64) % p).astype(dt)
-    cols = b[None, :] * step[:, None] % p
-    sign = np.where(half & 1, -1, 1).astype(np.int16)
-    return base[row[:, None], cols] * sign[:, None]
+    ps = [int(p) for p in ps]
+    for p in ps:
+        _check_p(p)
+    a = [np.asarray(al, dtype=np.int64) % p for al, p in zip(alphas, ps)]
+    nrows = [3 if (ai == 0).any() else 2 for ai in a]
+    for run in _row_runs(ps, nrows, _STACK_SAMPLES):
+        if stats is not None:
+            stats["row_stacks"] = stats.get("row_stacks", 0) + 1
+        bases = _base_rows([ps[i] for i in run], [nrows[i] for i in run])
+        for i, (pw, dl, base) in zip(run, bases):
+            p = ps[i]
+            # alpha = g^t -> base row c = g^(t & 1), twist d = g^(t >> 1);
+            # alpha = 0 reads row 0 with d = 1 (dl[0] = 0)
+            t = dl[a[i]]
+            row = np.where(a[i] == 0, 0, 1 + (t & 1)) if nrows[i] == 3 else t & 1
+            half = t >> 1
+            dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
+            step = pw[-3 * half % (p - 1)].astype(dt)
+            b = (np.asarray(betas[i], dtype=np.int64) % p).astype(dt)
+            cols = b[None, :] * step[:, None] % p
+            sign = np.where(half & 1, -1, 1).astype(np.int16)
+            yield base[row[:, None], cols] * sign[:, None]
+
+
+def lambda_rows(p: int, alphas, betas) -> np.ndarray:
+    """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
+    (len(alphas), len(betas)): the one-prime call of lambda_blocks, whose
+    docstring gives the method."""
+    return next(lambda_blocks([p], [alphas], [betas]))
 
 
 def lambda_table(p: int) -> FrobTable:

@@ -115,6 +115,7 @@ def test_density_stderr_explains_timing(capsys):
     main(["density", "--x", "250", "--method", "direct"])
     timing = capsys.readouterr().err.strip().splitlines()[1]
     assert "p1_transform" not in timing and "p1_cells=" in timing
+    assert "p1_row_stacks=" in timing
 
 
 def test_density_both_methods_cross_validate(capsys):

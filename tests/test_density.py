@@ -29,7 +29,7 @@ from ecdensity.density import (
     _dual_radii,
     _dual_sum,
     _dual_windows,
-    _lattice_block,
+    _lattice_blocks,
     _prime_weights,
     _p1_direct_chunk,
     _row_cuts,
@@ -191,18 +191,14 @@ def test_lattice_block_matches_full_table(x, picks, tmp_path):
     # and the cached table's slice is the lambda_rows block exactly
     f = family(x)
     cached = family(x, cache_dir=str(tmp_path))
-    na, wa = _axis_lattice(f, 0)
-    nb, wb = _axis_lattice(f, 1)
-    primes = _prime_weights(f, 1)[0] if picks is None else picks
-    assert picks is None or set(picks) <= set(_prime_weights(f, 1)[0])
-    for p in primes:
-        u, lam, v = _lattice_block(f, p, na, wa, nb, wb)
+    primes = _prime_weights(f, 1)[0] if picks is None else list(picks)
+    assert set(primes) <= set(_prime_weights(f, 1)[0])
+    for p, (u, lam, v), (_, lam_c, _) in zip(primes, _lattice_blocks(f, primes),
+                                             _lattice_blocks(cached, primes), strict=True):
         want1, want2 = _full_table_terms(f, p)
         assert u @ lam @ v == pytest.approx(want1, rel=1e-12)
         assert u @ (lam * lam - p) @ v == pytest.approx(want2, rel=1e-12)
-        if p <= TABLE_CAP:
-            _, lam_c, _ = _lattice_block(cached, p, na, wa, nb, wb)
-            assert np.array_equal(lam_c, lam)
+        assert np.array_equal(lam_c, lam)
 
 
 def test_p1_direct_streams_family_1e5():
@@ -327,6 +323,27 @@ def test_p1_points_pinned(fam_1e3):
     assert rep.term_counts["p1_points"] == 6_328 >= bare
     assert json.loads(report_json(rep))["term_counts"]["p1_points"] == 6_328
     assert "p1_points" not in density_report(fam_1e3, method="direct").term_counts
+
+
+def test_direct_values_pinned_at_1e4():
+    # the direct P1 and P2 at family(1e4), as before the row transforms of
+    # consecutive primes were stacked
+    f = family(1e4)
+    assert repr(p1_direct(f)) == "-0.0003755342990648632"
+    assert repr(p2_direct(f)) == "-0.0003780626979751568"
+
+
+@pytest.mark.parametrize("x, stacks", [(1e3, 5), (1e4, 19)])
+def test_p1_row_stacks_pinned(x, stacks, tmp_path):
+    # one stacked transform per run of primes with one FFT length: at 1e3 the
+    # runs are 5-7, 11-13, 17-31, 37-61 and 67-127; with every prime read
+    # from the disk cache the direct route transforms nothing
+    rep = density_report(family(x), method="direct")
+    assert rep.term_counts["p1_row_stacks"] == stacks
+    assert json.loads(report_json(rep))["term_counts"]["p1_row_stacks"] == stacks
+    assert "p1_row_stacks" not in density_report(family(x), method="poisson").term_counts
+    cached = density_report(family(x, cache_dir=str(tmp_path)), method="direct")
+    assert cached.term_counts["p1_row_stacks"] == 0
 
 
 def test_row_cuts_apply_the_exact_product_test():

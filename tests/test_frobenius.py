@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from ecdensity.arith import legendre, psi4, sieve_primes
+from ecdensity import frobenius
 from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
     get_table,
+    lambda_blocks,
     lambda_p,
     lambda_p2,
     lambda_rows,
@@ -134,6 +136,44 @@ def test_lambda_rows_without_alpha_zero(rng, p):
             assert block[i, j] == lambda_p(a, b, p)
     # the same rows read through the three-row path with alpha = 0 asked too
     assert np.array_equal(lambda_rows(p, np.array([0] + alphas), np.array(betas))[1:], block)
+
+
+def _chunk(rng, ps, with_zero):
+    """Random alphas (0 among them where with_zero says) and betas per prime."""
+    alphas = [[0] * z + [rng.randrange(1, p) for _ in range(5)] + [p - 1]
+              for p, z in zip(ps, with_zero)]
+    betas = [[rng.randrange(p) for _ in range(7)] + [0] for p in ps]
+    return alphas, betas
+
+
+def test_lambda_blocks_across_an_fft_length(rng):
+    # 503, 509 transform at n = 1024 and 521, 523 at 2048: two stacked runs,
+    # each mixing primes with and without alpha = 0, give the one-prime blocks
+    ps = [503, 509, 521, 523]
+    assert [frobenius._fft_len(p) for p in ps] == [1024, 1024, 2048, 2048]
+    alphas, betas = _chunk(rng, ps, [True, False, False, True])
+    stats: dict = {}
+    blocks = list(lambda_blocks(ps, alphas, betas, stats))
+    assert stats == {"row_stacks": 2}
+    for p, al, be, block in zip(ps, alphas, betas, blocks, strict=True):
+        assert np.array_equal(block, lambda_rows(p, al, be))
+        assert block[0, 1] == lambda_p(al[0], be[1], p)
+
+
+def test_lambda_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
+    # four primes of n = 1024 hold 4 + 3 + 3 + 4 rows of 1024 samples; a cap
+    # of 7 rows' worth splits them into two runs, a cap below one prime's
+    # rows into runs of one, and every block stays the one-prime block
+    ps = [257, 263, 269, 271]
+    alphas, betas = _chunk(rng, ps, [True, False, False, True])
+    want = [lambda_rows(p, al, be) for p, al, be in zip(ps, alphas, betas)]
+    assert [list(r) for r in frobenius._row_runs(ps, [3, 2, 2, 3], 7 * 1024)] == [[0, 1], [2, 3]]
+    for cap, runs in ((7 * 1024, 2), (1024, 4), (14 * 1024, 1)):
+        monkeypatch.setattr(frobenius, "_STACK_SAMPLES", cap)
+        stats: dict = {}
+        blocks = list(lambda_blocks(ps, alphas, betas, stats))
+        assert stats["row_stacks"] == runs
+        assert all(np.array_equal(b, w) for b, w in zip(blocks, want, strict=True))
 
 
 def test_twist_identity(rng):
