@@ -202,18 +202,19 @@ def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
     and counts them in stats["row_stacks"]."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    sums = []
+    hits = []  # (ares, u, bres, v) per prime, only the residues hit
     for p in ps:
         sa = np.bincount(na % p, weights=wa, minlength=p)
         sb = np.bincount(nb % p, weights=wb, minlength=p)
-        sums.append((sa, sb, np.flatnonzero(sa), np.flatnonzero(sb)))
+        ares, bres = np.flatnonzero(sa), np.flatnonzero(sb)
+        hits.append((ares, sa[ares], bres, sb[bres]))
     cached = [f.cache_dir is not None and p <= TABLE_CAP for p in ps]
     built = lambda_blocks([p for p, c in zip(ps, cached) if not c],
-                          [s[2] for s, c in zip(sums, cached) if not c],
-                          [s[3] for s, c in zip(sums, cached) if not c], stats)
-    for p, c, (sa, sb, ares, bres) in zip(ps, cached, sums):
+                          [h[0] for h, c in zip(hits, cached) if not c],
+                          [h[2] for h, c in zip(hits, cached) if not c], stats)
+    for p, c, (ares, u, bres, v) in zip(ps, cached, hits):
         lam = get_table(p, f.cache_dir).table[np.ix_(ares, bres)] if c else next(built)
-        yield sa[ares], lam.astype(np.float64), sb[bres]
+        yield u, lam.astype(np.float64), v
 
 
 def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]]) -> tuple[list[float], dict]:

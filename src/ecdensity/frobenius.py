@@ -128,8 +128,9 @@ def _base_rows(ps: list[int], nrows: list[int]) -> list[tuple[np.ndarray, np.nda
     tabs = [dlog_table(p) for p in ps]
     # each prime's rows of counts and corr
     spans = [slice(e - k, e) for k, e in zip(nrows, np.cumsum(nrows).tolist())]
-    ls2 = np.zeros((len(ps), n))
-    counts = np.zeros((sum(nrows), n))
+    w = max(ps)  # rfft zero-pads the rows from 2w and w to n
+    ls2 = np.zeros((len(ps), 2 * w))
+    counts = np.zeros((sum(nrows), w))
     for p, (pw, dl), ls, span in zip(ps, tabs, ls2, spans):
         ls[:p] = np.where(dl & 1, -1.0, 1.0)  # (t/p) = (-1)^dl(t)
         ls[0] = 0.0
@@ -140,9 +141,9 @@ def _base_rows(ps: list[int], nrows: list[int]) -> list[tuple[np.ndarray, np.nda
         cs = (0, 1, int(pw[1])) if len(rows) == 3 else (1, int(pw[1]))
         for row, c in zip(rows, cs):
             row[:p] = np.bincount((cubes + c * x) % p, minlength=p)
-    owner = np.repeat(np.arange(len(ps)), nrows)
-    spec = np.conj(np.fft.rfft(counts, axis=1))
-    spec *= np.fft.rfft(ls2, axis=1)[owner]
+    spec = np.conj(np.fft.rfft(counts, n, axis=1))
+    for lf, span in zip(np.fft.rfft(ls2, n, axis=1), spans):
+        spec[span] *= lf  # in place: a fresh spectrum-sized array costs more
     corr = np.fft.irfft(spec, n, axis=1)
     out = []
     for p, (pw, dl), span in zip(ps, tabs, spans):
