@@ -155,7 +155,10 @@ def factorize(n: int) -> Factorization:
             m //= d
         d += wheel[i]
         i = (i + 1) % 8
-    # leftover m is prime, 1, or a hard composite for rho
+    if d * d > m > 1:  # trial division passed sqrt(m), so m is prime
+        fac[m] = fac.get(m, 0) + 1
+        m = 1
+    # leftover m is 1 or, past _TRIAL_BOUND, a prime or a hard composite for rho
     rng = None
     stack = [m] if m > 1 else []
     while stack:

@@ -94,6 +94,24 @@ def dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pw, dl
 
 
+def dlog_tables(ps) -> tuple[np.ndarray, np.ndarray]:
+    """dlog_table for a list of odd primes at once, one int32 row per prime
+    padded to the widest (a table mod p holds p entries, so p < 2^31):
+    pw[i, t] = g^t mod ps[i] for t = 0..max(ps)-2, g = _primitive_root(ps[i])
+    (past t = p - 2 the powers cycle again), and dl[i] inverts pw[i] on
+    1..p-1, with 0 at residue 0 and past p - 1.  Row i cut to pw[i, :p-1]
+    and dl[i, :p] is dlog_table(ps[i]); the primes are the caller's to have
+    checked."""
+    w = max(ps) - 1
+    pw = np.empty((len(ps), w), dtype=np.int32)
+    dl = np.zeros((len(ps), w + 1), dtype=np.int32)
+    t = np.arange(w, dtype=np.int32)
+    for i, p in enumerate(ps):
+        pw[i] = power_table(_primitive_root(p), w, p)
+        dl[i, pw[i, :p - 1]] = t[:p - 1]
+    return pw, dl
+
+
 def _odd_prime_power_generator(p: int, k: int) -> int:
     """Generator of the cyclic group (Z/p^k)^* for odd p."""
     g = _primitive_root(p)

@@ -219,7 +219,10 @@ def _check_lattices(cfg: RunConfig) -> None:
 def _timing_summary(rep) -> str:
     """Stage seconds, P1 term counts (and the direct route's stacked row
     transforms) and conductor sieve primes of one report, for the stderr
-    summary."""
+    summary.  On the direct route P1 and P2 share one pass over the blocks,
+    so p2 is the seconds of the P2 contractions alone and p1 includes the
+    block builds of the P2 primes (under the process pool, p2 adds up the
+    workers' seconds and p1 is the wall time of the pass)."""
     parts = [f"{k}={rep.timings[k]:.3f}s" for k in
              ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
     parts += [f"{k}={rep.term_counts[k]}" for k in

@@ -15,13 +15,21 @@ where W is the total weight, C(X) the weighted mean of log N / log X, and
 P1 has two routes.  The direct route contracts, per prime, the lambda block
 over the residues the (a, b) lattice hits against their weight sums,
 u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.
-_lattice_blocks builds the blocks of a chunk of primes (_P1_CHUNK of them
-for P1, every P2 prime at once) by one lambda_blocks call, which runs the
-residue-row FFTs of consecutive primes sharing a transform length as one
-stacked transform (term_counts["p1_row_stacks"] counts them for P1); when
-cache_dir is set, each p <= TABLE_CAP is sliced from its disk-cached table
-instead.  The dual route applies 2D Poisson summation per prime,
-turning the inner double sum into
+_lattice_blocks builds the blocks of a chunk of _P1_CHUNK primes by one
+frobenius.sieved_blocks call, which runs the residue-row FFTs of
+consecutive primes sharing a transform length as one stacked transform
+(term_counts["p1_row_stacks"] counts them) over one stacked context of
+discrete-log tables (characters.dlog_tables) per run; when cache_dir is
+set, each p <= TABLE_CAP is sliced from its disk-cached table instead.
+density_report on the direct route takes P1 and P2 from one pass over the
+blocks: the P2 primes, p < X^(nu/2) + 2, are among the P1 primes, so each
+block is built once, and timings["p2"] holds only the seconds of the P2
+contractions (their block builds count under timings["p1"]; when the
+chunks run in a process pool, p2 adds up the workers' seconds and p1 is the
+wall time of the whole pass).  p2_direct, which the dual route calls,
+builds the blocks of every P2 prime itself.
+The dual route applies 2D Poisson summation per prime, turning the inner
+double sum into
 
     -(AB/log X) sum_p psi4(p) (2 log p / p^{3/2}) phihat(log p/log X)
         sum_{h,k} (k/p) e(-h^3 kbar^2 / p) what(hA/p, kB/p),
@@ -62,13 +70,7 @@ from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
 from .characters import (DirichletCharacter, char_eval, character_table, dlog_table,
                          roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_batch
-from .frobenius import (
-    TABLE_CAP,
-    get_table,
-    lambda_blocks,
-    lambda_p,
-    lambda_p2,
-)
+from .frobenius import TABLE_CAP, get_table, lambda_p, lambda_p2, sieved_blocks
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
@@ -89,7 +91,10 @@ _P1_GROUP = 16
 # X = 2e4 (sum 80,184: 0.081 against 0.042 s, medians of 15), tied at 3e4
 # (134,742: 0.064 against 0.068 s, 7 of 15 won) and won from 3.5e4 (166,546:
 # 0.070 against 0.074 s, 11 of 15; 0.079 against 0.085 s at 4e4, 0.095
-# against 0.113 s at 5e4, 0.168 against 0.243 s at 1e5)
+# against 0.113 s at 5e4, 0.168 against 0.243 s at 1e5).  Re-measured with
+# one dlog_tables context per run (three runs, medians of 15): the pool won
+# 0 of 15 at 2e4, 8, 9 and 3 at 3e4, 12, 5 and 11 at 3.5e4, and 11, 13 and
+# 13 at 4e4, so the crossover stayed between 3e4 and 4e4.
 _P1_POOL_WORK = 150_000
 
 
@@ -194,11 +199,11 @@ def _prime_weights(f: FamilySpec, k: int) -> tuple[list[int], list[float]]:
 
 def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(u, lam, v) at each p of ps in order: u and v the weight sums of the
-    residues the a and b axes hit, lam the lambda block over those residues.
-    The block is sliced from the cached table when cache_dir is set and
-    p <= TABLE_CAP, one prime at a time; the other primes are built by one
-    lambda_blocks call, which stacks the transforms of consecutive primes
+    """(u, lam, v) at each sieved p of ps in order: u and v the weight sums of
+    the residues the a and b axes hit, lam the lambda block over those
+    residues.  The block is sliced from the cached table when cache_dir is set
+    and p <= TABLE_CAP, one prime at a time; the other primes are built by
+    one sieved_blocks call, which stacks the transforms of consecutive primes
     and counts them in stats["row_stacks"]."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
@@ -209,7 +214,7 @@ def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
         ares, bres = np.flatnonzero(sa), np.flatnonzero(sb)
         hits.append((ares, sa[ares], bres, sb[bres]))
     cached = [f.cache_dir is not None and p <= TABLE_CAP for p in ps]
-    built = lambda_blocks([p for p, c in zip(ps, cached) if not c],
+    built = sieved_blocks([p for p, c in zip(ps, cached) if not c],
                           [h[0] for h, c in zip(hits, cached) if not c],
                           [h[2] for h, c in zip(hits, cached) if not c], stats)
     for p, c, (ares, u, bres, v) in zip(ps, cached, hits):
@@ -217,34 +222,52 @@ def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
         yield u, lam.astype(np.float64), v
 
 
-def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]]) -> tuple[list[float], dict]:
-    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, counts of
-    the cells contracted and of the stacked row transforms run)."""
-    counts = {"cells": 0, "row_stacks": 0}
-    terms = []
+def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]], w2: dict[int, float]
+                     ) -> tuple[list[float], list[float], dict]:
+    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, the P2 term
+    w_2(p) u @ (lam^2 - p) @ v of each of those primes that w2 maps to
+    w_2(p), counts of the cells contracted and of the stacked row transforms
+    run, and the seconds of the P2 contractions)."""
+    counts = {"cells": 0, "row_stacks": 0, "p2_s": 0.0}
+    terms, terms2 = [], []
     for (p, w), (u, lam, v) in zip(pairs, _lattice_blocks(f, [p for p, _ in pairs], counts)):
         terms.append(w * float(u @ lam @ v))
         counts["cells"] += lam.size
-    return terms, counts
+        if p in w2:
+            t0 = time.perf_counter()
+            terms2.append(w2[p] * float(u @ (lam * lam - p) @ v))
+            counts["p2_s"] += time.perf_counter() - t0
+    return terms, terms2, counts
 
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     """P1 by residue-block contraction per prime, in chunks of _P1_CHUNK
-    primes, across a process pool when threads > 1 and the work is large."""
+    primes, across a process pool when threads > 1 and the work is large.
+    The same pass contracts the blocks of the P2 primes (all among the P1
+    primes) for P2, which goes to stats["p2"] with the seconds of its
+    contractions in stats["p2_s"]; stats["pooled"] says whether the chunks
+    ran in the pool, where p2_s adds up the seconds of the workers."""
     primes, weights = _prime_weights(f, 1)
+    w2 = dict(zip(*_prime_weights(f, 2)))
+    if not w2.keys() <= set(primes):
+        raise RuntimeError("a P2 prime is not a P1 prime")
     pairs = list(zip(primes, weights))
     chunks = [pairs[i : i + _P1_CHUNK] for i in range(0, len(pairs), _P1_CHUNK)]
-    if f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK:
+    w2s = [{p: w2[p] for p, _ in c if p in w2} for c in chunks]
+    pooled = f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK
+    if pooled:
         with ProcessPoolExecutor(max_workers=f.threads) as ex:
-            parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks))
+            parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks, w2s))
     else:
-        parts = [_p1_direct_chunk(f, c) for c in chunks]
+        parts = [_p1_direct_chunk(f, c, w) for c, w in zip(chunks, w2s)]
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = sum(p * p for p in primes)
-        for key in ("cells", "row_stacks"):
-            stats[key] = sum(c[key] for _, c in parts)
-    return math.fsum(t for terms, _ in parts for t in terms)
+        for key in ("cells", "row_stacks", "p2_s"):
+            stats[key] = sum(c[key] for _, _, c in parts)
+        stats["p2"] = math.fsum(t for _, terms2, _ in parts for t in terms2)
+        stats["pooled"] = pooled
+    return math.fsum(t for terms, _, _ in parts for t in terms)
 
 
 def direct_term_count(f: FamilySpec) -> int:
@@ -396,7 +419,8 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
         terms += win.kept
         cells += c
         w1 = float(f.phi.phihat(math.log(p) / lx))
-        v = psi4(p) * (2.0 * math.log(p) / p**1.5) * w1 * s_p
+        psi = 1.0 + 0.0j if p % 4 == 1 else 1.0j  # psi4(p), p sieved
+        v = psi * (2.0 * math.log(p) / p**1.5) * w1 * s_p
         re.append(v.real)
         im.append(v.imag)
         t0 = time.perf_counter()
@@ -509,8 +533,18 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     timings["w_total"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     stats: dict = {}
-    p1 = p1_direct(f, stats) if method == "direct" else p1_poisson(f, stats=stats)
-    timings["p1"] = time.perf_counter() - t0
+    if method == "direct":
+        p1, p2 = p1_direct(f, stats), stats["p2"]
+        # summed worker seconds overlap in wall time, so only the serial
+        # pass takes them out of p1
+        timings["p1"] = time.perf_counter() - t0 - (0.0 if stats["pooled"] else stats["p2_s"])
+        timings["p2"] = stats["p2_s"]
+    else:
+        p1 = p1_poisson(f, stats=stats)
+        timings["p1"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        p2 = p2_direct(f)
+        timings["p2"] = time.perf_counter() - t0
     if "transform_s" in stats:
         timings["p1_transform"] = stats["transform_s"]
         timings["p1_contract"] = stats["contract_s"]
@@ -522,9 +556,6 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
         counts["p1_cells"] = stats["cells"]
     if "points" in stats:
         counts["p1_points"] = stats["points"]
-    t0 = time.perf_counter()
-    p2 = p2_direct(f)
-    timings["p2"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     c_stats: dict = {}
     c, c_lo, c_hi = conductor_term(f, c_stats)

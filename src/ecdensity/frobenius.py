@@ -6,34 +6,39 @@ residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
 Residue rows come from one evaluator, lambda_blocks, which takes a list of
-primes (lambda_rows is its one-prime call): real-FFT linear correlations
-against the doubled Legendre sequence for the base rows 1 and g (g the
-primitive root of characters.dlog_table), plus row 0 only when some
-alpha = 0 (mod p) is asked for, and every other row by the quadratic twist
-lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta) (Silverman, AEC
-III.1) as one integer gather, so a full table costs three correlations plus
-O(p^2).  The correlations of consecutive primes that share one FFT length
-run as one stacked rfft/irfft, which saves the per-call overhead that
-dominates below p of a few thousand.  The one discrete-log table mod p
-supplies everything mod p the rows need: the Legendre sequence, the twist d
-and its (d/p), and d^-3.
+primes (lambda_rows is its one-prime call; sieved_blocks is the same
+evaluator for primes the caller has sieved, without the primality checks):
+real-FFT linear correlations against the doubled Legendre sequence for the
+base rows 1 and g (g the primitive root of characters.dlog_table), plus
+row 0 only when some alpha = 0 (mod p) is asked for, and every other row by
+the quadratic twist lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta)
+(Silverman, AEC III.1) as one integer gather, so a full table costs three
+correlations plus O(p^2).  Consecutive primes that share one FFT length
+form a run, and each run is handled as one stack, which saves the per-call
+overhead that dominates below p of a few thousand: one stacked context of
+discrete-log tables (characters.dlog_tables) supplies everything mod p the
+rows need (the Legendre sequence, the twist d and its (d/p), and d^-3); the
+value counts of every base row come from one offset bincount; one rfft of
+the Legendre sequences, one of the counts and one irfft give all base rows,
+which take one audit; and one twist gather serves each stretch of the run
+whose blocks share a shape.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import warnings
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .arith import is_prime, legendre, mod_inverse, psi4
-from .characters import dlog_table
+from .characters import dlog_tables
 
 TABLE_MAGIC = b"FRBT"
 TABLE_VERSION = 2
@@ -91,11 +96,14 @@ class FrobTable:
         self.table.setflags(write=False)
 
 
-def _audit(lam: np.ndarray, p: int) -> None:
-    """Integer audits of lambda rows: each row sums to 0, |lambda| < 2 sqrt(p)."""
-    hasse = 2.0 * math.sqrt(p)
-    if np.abs(lam).max() >= hasse + 0.5 or np.abs(lam.sum(axis=1)).max() != 0:
-        raise RuntimeError(f"table audit failed for p={p}")
+def _audit(lam: np.ndarray, p) -> None:
+    """Integer audits of lambda rows: each row sums to 0, |lambda| < 2 sqrt(p).
+    p is one prime or a column holding the prime of each row."""
+    hasse = np.ravel(2.0 * np.sqrt(p))
+    bad = (np.abs(lam).max(axis=1) >= hasse + 0.5) | (lam.sum(axis=1) != 0)
+    if bad.any():
+        primes = np.unique(np.broadcast_to(np.ravel(p), bad.shape)[bad]).tolist()
+        raise RuntimeError(f"table audit failed for p={', '.join(map(str, primes))}")
 
 
 def _fft_len(p: int) -> int:
@@ -118,39 +126,71 @@ def _row_runs(ps: list[int], nrows: list[int], cap: int) -> Iterator[range]:
         yield range(start, len(ps))
 
 
-def _base_rows(ps: list[int], nrows: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(pw, dl, base) for each prime of a run sharing one FFT length n: the
-    dlog table mod p and the int16 base rows c = 1, g (0, 1, g when nrows[i]
-    is 3) of lambda(c, beta), beta = 0..p-1.  The doubled Legendre sequences and
-    the value counts of x^3 + c x are stacked, zero-padded to n, into one
-    rfft each, and all rows come back from one irfft."""
+def _base_rows(ps: list[int], nrows: list[int]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """(pw, dl, base, first) for a run of primes sharing one FFT length n:
+    the stacked tables of characters.dlog_tables, and the int16 base rows
+    c = 1, g (0, 1, g when nrows[i] is 3) of lambda(c, beta), beta = 0..p-1,
+    prime i's at base[first[i]:first[i] + nrows[i]], zero past p.  The
+    doubled Legendre sequences, (t/p) = (-1)^dl(t), and the value counts of
+    x^3 + c x (one offset bincount) are stacked, zero-padded to n, into one
+    rfft each; all rows come back from one irfft and take one audit."""
     n = _fft_len(ps[0])
-    tabs = [dlog_table(p) for p in ps]
-    # each prime's rows of counts and corr
-    spans = [slice(e - k, e) for k, e in zip(nrows, np.cumsum(nrows).tolist())]
-    w = max(ps)  # rfft zero-pads the rows from 2w and w to n
+    pw, dl = dlog_tables(ps)
+    q = np.array(ps, dtype=np.int64)[:, None]
+    w = dl.shape[1]  # max(ps); rfft zero-pads the rows from 2w and w to n
+    t = np.arange(w, dtype=np.int64)
+    inside = t < q
+    ls = np.where(dl & 1, -1.0, 1.0) * inside
+    ls[:, 0] = 0.0
     ls2 = np.zeros((len(ps), 2 * w))
-    counts = np.zeros((sum(nrows), w))
-    for p, (pw, dl), ls, span in zip(ps, tabs, ls2, spans):
-        ls[:p] = np.where(dl & 1, -1.0, 1.0)  # (t/p) = (-1)^dl(t)
-        ls[0] = 0.0
-        ls[p : 2 * p] = ls[:p]
-        x = np.arange(p, dtype=np.int64)
-        cubes = x * x % p * x % p
-        rows = counts[span]
-        cs = (0, 1, int(pw[1])) if len(rows) == 3 else (1, int(pw[1]))
-        for row, c in zip(rows, cs):
-            row[:p] = np.bincount((cubes + c * x) % p, minlength=p)
+    ls2[:, :w] = ls
+    ls2.ravel()[q + t + np.arange(0, ls2.size, 2 * w)[:, None]] = ls  # the period at p..2p-1
+    first = list(accumulate(nrows[:-1], initial=0))
+    prime = np.repeat(np.arange(len(ps)), nrows)  # the prime of each row
+    c = np.array([v for gi, k in zip(pw[:, 1].tolist(), nrows)
+                  for v in ((0, 1, gi) if k == 3 else (1, gi))], dtype=np.int64)
+    cubes = t * t % q * t
+    vals = (cubes[prime] + c[:, None] * t) % q[prime] + (np.arange(c.size) * w)[:, None]
+    counts = np.bincount(vals[inside[prime]], minlength=c.size * w).reshape(c.size, w)
     spec = np.conj(np.fft.rfft(counts, n, axis=1))
-    for lf, span in zip(np.fft.rfft(ls2, n, axis=1), spans):
-        spec[span] *= lf  # in place: a fresh spectrum-sized array costs more
-    corr = np.fft.irfft(spec, n, axis=1)
-    out = []
-    for p, (pw, dl), span in zip(ps, tabs, spans):
-        base = -np.rint(corr[span, :p])
-        _audit(base, p)
-        out.append((pw, dl, base.astype(np.int16)))
-    return out
+    for lf, i, k in zip(np.fft.rfft(ls2, n, axis=1), first, nrows):
+        spec[i:i + k] *= lf  # in place: a fresh spectrum-sized array costs more
+    base = -np.rint(np.fft.irfft(spec, n, axis=1)[:, :w]) * inside[prime]
+    _audit(base, q[prime])
+    return pw, dl, base.astype(np.int16), first
+
+
+def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
+                  ) -> Iterator[np.ndarray]:
+    """lambda_blocks for primes p > 3 that the caller has sieved: the same
+    blocks without the primality check of each p."""
+    a = [np.asarray(al, dtype=np.int64) % p for al, p in zip(alphas, ps)]
+    b = [np.asarray(be, dtype=np.int64) % p for be, p in zip(betas, ps)]
+    nrows = [3 if (ai == 0).any() else 2 for ai in a]
+    for run in _row_runs(ps, nrows, _STACK_SAMPLES):
+        if stats is not None:
+            stats["row_stacks"] = stats.get("row_stacks", 0) + 1
+        pw, dl, base, first = _base_rows([ps[i] for i in run], [nrows[i] for i in run])
+        # the row c = 1 of each prime, after its row c = 0 when it has one
+        one = np.array([f + nrows[i] - 2 for f, i in zip(first, run)])
+        # one twist gather per stretch of the run whose blocks share a shape
+        for _, same in groupby(enumerate(run), key=lambda e: (a[e[1]].size, b[e[1]].size)):
+            js, idx = zip(*same)
+            j = np.array(js)[:, None]
+            q = np.array([ps[i] for i in idx], dtype=np.int64)[:, None]
+            al = np.array([a[i] for i in idx])
+            # alpha = g^t -> base row c = g^(t & 1), twist d = g^(t >> 1);
+            # alpha = 0 reads row 0 with d = 1 (dl[0] = 0)
+            t = dl[j, al]
+            row = np.where(al == 0, one[j] - 1, one[j] + (t & 1))
+            half = t >> 1
+            dt = np.int32 if q.max() < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
+            step = pw[j, -3 * half % (q - 1)].astype(dt)
+            be = np.array([b[i] for i in idx], dtype=dt)
+            cols = be[:, None, :] * step[:, :, None] % q.astype(dt)[:, :, None]
+            sign = np.where(half & 1, -1, 1).astype(np.int16)
+            yield from base[row[:, :, None], cols] * sign[:, :, None]
 
 
 def lambda_blocks(ps, alphas, betas, stats: dict | None = None) -> Iterator[np.ndarray]:
@@ -165,34 +205,17 @@ def lambda_blocks(ps, alphas, betas, stats: dict | None = None) -> Iterator[np.n
     failure).  Consecutive primes with one n are transformed together, one
     stacked rfft of their Legendre sequences, one of their counts and one
     irfft per run, each run holding at most _STACK_SAMPLES samples (a prime
-    above that is a run of its own); stats["row_stacks"], when stats is
-    given, is increased by the number of runs.  Any other row alpha = g^t is
-    c d^2 with c = g^(t mod 2) and d = g^floor(t/2), so it is read off as
+    above that is a run of its own) and reading one dlog_tables context;
+    stats["row_stacks"], when stats is given, is increased by the number of
+    runs.  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
+    d = g^floor(t/2), so it is read off as
     lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
     (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
     """
     ps = [int(p) for p in ps]
     for p in ps:
         _check_p(p)
-    a = [np.asarray(al, dtype=np.int64) % p for al, p in zip(alphas, ps)]
-    nrows = [3 if (ai == 0).any() else 2 for ai in a]
-    for run in _row_runs(ps, nrows, _STACK_SAMPLES):
-        if stats is not None:
-            stats["row_stacks"] = stats.get("row_stacks", 0) + 1
-        bases = _base_rows([ps[i] for i in run], [nrows[i] for i in run])
-        for i, (pw, dl, base) in zip(run, bases):
-            p = ps[i]
-            # alpha = g^t -> base row c = g^(t & 1), twist d = g^(t >> 1);
-            # alpha = 0 reads row 0 with d = 1 (dl[0] = 0)
-            t = dl[a[i]]
-            row = np.where(a[i] == 0, 0, 1 + (t & 1)) if nrows[i] == 3 else t & 1
-            half = t >> 1
-            dt = np.int32 if p < 46341 else np.int64  # beta * d^-3 < p^2 fits int32
-            step = pw[-3 * half % (p - 1)].astype(dt)
-            b = (np.asarray(betas[i], dtype=np.int64) % p).astype(dt)
-            cols = b[None, :] * step[:, None] % p
-            sign = np.where(half & 1, -1, 1).astype(np.int16)
-            yield base[row[:, None], cols] * sign[:, None]
+    yield from sieved_blocks(ps, alphas, betas, stats)
 
 
 def lambda_rows(p: int, alphas, betas) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ecdensity.arith import factorize, is_prime, jacobi
+from ecdensity.density import _P1_CHUNK, _prime_weights, family
 from ecdensity.characters import (
     CharGroup,
     _primitive_root,
@@ -25,6 +26,7 @@ from ecdensity.characters import (
     cubic_characters,
     cubic_structure_report,
     dlog_table,
+    dlog_tables,
     enumerate_characters,
     gauss_sum,
     gauss_sum_matrix,
@@ -64,6 +66,29 @@ def test_dlog_table_is_a_power_permutation(rng):
         g = _primitive_root(p)
         for t in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(20)]:
             assert pw[t] == pow(g, t, p)
+
+
+@pytest.mark.parametrize("ps", [
+    pytest.param(None, id="p1-primes-1e4"),
+    pytest.param([2039, 2053], id="fft-length-boundary"),
+    pytest.param([46337, 46349], id="int32-boundary"),
+])
+def test_dlog_tables_match_dlog_table(ps):
+    # each padded row of the stacked context, cut to p, is the one-prime
+    # table; family(1e4)'s P1 primes go in the direct route's chunks of 16
+    if ps is None:
+        primes = _prime_weights(family(1e4), 1)[0]
+        groups = [primes[i:i + _P1_CHUNK] for i in range(0, len(primes), _P1_CHUNK)]
+    else:
+        groups = [ps]
+    for group in groups:
+        pw, dl = dlog_tables(group)
+        assert pw.shape == (len(group), max(group) - 1) and dl.shape == (len(group), max(group))
+        for i, p in enumerate(group):
+            want_pw, want_dl = dlog_table(p)
+            assert np.array_equal(dl[i, :p], want_dl) and not dl[i, p:].any()
+            # past t = p - 2 the padded row cycles through the powers again
+            assert np.array_equal(pw[i], want_pw[np.arange(pw.shape[1]) % (p - 1)])
 
 
 def test_roots_of_unity_match_extended_precision():

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecdensity import density
+from ecdensity import density, frobenius
 from ecdensity.density import (
     DEFAULT_TAIL_TOL,
     CrosscheckReport,
@@ -207,7 +207,7 @@ def test_p1_direct_streams_family_1e5():
     f = family(1e5)
     got = p1_direct(f)
     assert repr(got) == "5.537144739874145e-05"
-    terms, _ = _p1_direct_chunk(f, list(zip(*_prime_weights(f, 1))))
+    terms, _, _ = _p1_direct_chunk(f, list(zip(*_prime_weights(f, 1))), {})
     assert got == float(sum(map(Fraction, terms)))
 
 
@@ -333,6 +333,32 @@ def test_direct_values_pinned_at_1e4():
     assert repr(p2_direct(f)) == "-0.0003780626979751568"
 
 
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_direct_report_p2_is_p2_direct(x, monkeypatch):
+    # the direct route takes P2 from P1's blocks; it keeps p2_direct's bits,
+    # also when the chunks run in a process pool
+    want = repr(p2_direct(family(x)))
+    assert repr(density_report(family(x), method="direct").p2) == want
+    monkeypatch.setattr(density, "_P1_POOL_WORK", 0)
+    assert repr(density_report(family(x, threads=2), method="direct").p2) == want
+
+
+def test_direct_report_builds_each_base_row_once(monkeypatch):
+    # one direct report builds the base rows of every P1 prime exactly once:
+    # the P2 primes' blocks are not built a second time
+    built = []
+    base_rows = frobenius._base_rows
+
+    def counted(ps, nrows):
+        built.extend(ps)
+        return base_rows(ps, nrows)
+    monkeypatch.setattr(frobenius, "_base_rows", counted)
+    f = family(1e4)
+    density_report(f, method="direct")
+    assert built == _prime_weights(f, 1)[0]
+    assert set(_prime_weights(f, 2)[0]) < set(built)
+
+
 @pytest.mark.parametrize("x, stacks", [(1e3, 5), (1e4, 19)])
 def test_p1_row_stacks_pinned(x, stacks, tmp_path):
     # one stacked transform per run of primes with one FFT length: at 1e3 the
@@ -447,6 +473,12 @@ def test_dual_report_splits_the_p1_timing(fam_250):
     assert t["p1_transform"] + t["p1_contract"] <= t["p1"]
     direct = density_report(fam_250, method="direct")
     assert "p1_transform" not in direct.timings and "p1_contract" not in direct.timings
+
+
+def test_report_times_p2_on_both_routes(fam_250):
+    # the direct route times P2's contractions inside the shared pass
+    for method in ("direct", "poisson"):
+        assert density_report(fam_250, method=method).timings["p2"] >= 0.0
 
 
 def test_import_and_report_load_no_scipy():

@@ -176,6 +176,15 @@ def test_lambda_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
         assert all(np.array_equal(b, w) for b, w in zip(blocks, want, strict=True))
 
 
+def test_stacked_audit_names_the_failing_prime():
+    # one audit covers the stacked rows of a run and names the primes whose
+    # rows fail: a nonzero row sum at 7, a Hasse violation at 11
+    rows = np.array([[1, -1, 0], [2, -1, 0], [8, -8, 0]])
+    frobenius._audit(rows[:1], 5)
+    with pytest.raises(RuntimeError, match=r"p=7, 11$"):
+        frobenius._audit(rows, np.array([[5], [7], [11]]))
+
+
 def test_twist_identity(rng):
     # lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta), by direct sums
     for _ in range(40):
