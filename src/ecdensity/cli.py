@@ -218,7 +218,7 @@ def _check_lattices(cfg: RunConfig) -> None:
 
 def _timing_summary(rep) -> str:
     """Stage seconds, P1 term counts (and the direct route's stacked row
-    transforms) and conductor sieve primes of one report, for the stderr
+    transforms) and conductor sieve primes and hits of one report, for the stderr
     summary.  On the direct route P1 and P2 share one pass over the blocks,
     so p2 is the seconds of the P2 contractions alone and p1 includes the
     block builds of the P2 primes (under the process pool, p2 adds up the
@@ -226,7 +226,8 @@ def _timing_summary(rep) -> str:
     parts = [f"{k}={rep.timings[k]:.3f}s" for k in
              ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
     parts += [f"{k}={rep.term_counts[k]}" for k in
-              ("p1_terms", "p1_cells", "p1_row_stacks", "conductor_primes")
+              ("p1_terms", "p1_cells", "p1_row_stacks", "conductor_primes",
+               "conductor_hits")
               if k in rep.term_counts]
     return " ".join(parts)
 

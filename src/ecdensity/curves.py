@@ -7,15 +7,17 @@ with an exact=False flag and a sensitivity band [drop 2 and 3 entirely, apply
 the caps], since short models cannot decide those places.
 
 conductor_log_batch evaluates the same heuristic over a product grid of a
-and b values.  Its odd part is a residue sieve rather than trial division of
-every curve: for a prime p >= 5, p | 4a^3 + 27b^2 exactly when
--4a^3 = 27b^2 (mod p), so joining the a-axis keys -4a^3 mod p against the
-sorted b-axis keys 27b^2 mod p lists the cells p divides.  That is
-O(na + nb) key work plus O(hits) per prime instead of O(na * nb).  The sieve
-stops at the integer cube root of the largest 2- and 3-free remainder, where
-each leftover is 1, q, q^2 or q*r and reads off exactly (conductor_log_batch
-says why); on family(1e7) the 120 primes 5 <= p <= 676 hit 222,569 of
-170,748 * 120 = 2.0e7 (curve, p) cells.
+and b values with no full-grid pass per prime or per valuation step.  The
+minimization reads floor(v_p(a)/4) and floor(v_p(b)/6) off the two axes.  The
+odd part is a residue sieve: p >= 5 divides 4a^3 + 27b^2 exactly when
+-4a^3 = 27b^2 (mod p), so each chunk of consecutive primes runs as one stacked
+join of the a-axis keys against the sorted b-axis keys, O(na + nb) key work
+per prime plus O(hits) instead of O(na * nb), and np.add.at adds f_p log p in
+ascending prime order, so every sum rounds as one prime at a time would.  The
+sieve stops at the integer cube root of the largest 2- and 3-free remainder,
+where each leftover is 1, q, q^2 or q*r and reads off exactly
+(conductor_log_batch says why).  A report's term_counts["conductor_primes"]
+and ["conductor_hits"] count the primes sieved and the (curve, p) pairs hit.
 """
 
 from __future__ import annotations
@@ -126,14 +128,65 @@ def conductor(a: int, b: int) -> ConductorInfo:
 
 
 def _leftover_log(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum of f_q log q over the primes q of each odd-sieve leftover r > 1,
-    which is q, q^2 or q*q' (see conductor_log_batch); a holds the same
-    cells' minimal-model coefficient, which decides f_q at a square."""
+    """sum of f_q log q over the primes q of each odd-sieve leftover r, which
+    is 1, q, q^2 or q*q' (see conductor_log_batch); a holds the same cells'
+    minimal-model coefficient, which decides f_q at a square.  r = 1 reads
+    as the square of q = 1 and adds exactly 0.0."""
     q = np.rint(np.sqrt(r)).astype(np.int64)
     sq = np.flatnonzero(q * q == r)
+    q = q[sq]
     term = np.log(r)
-    term[sq] = np.where(a[sq] % q[sq] != 0, 1, 2) * np.log(q[sq])
+    term[sq] = np.where(a[sq] % q != 0, 1, 2) * np.log(q)
     return term
+
+
+def _peel(r: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """(r / p^v, v) with v = v_p(r) >= 1 for each entry of r, every entry
+    divisible by p (a scalar or an array beside r).  Each pass divides only
+    the entries still divisible."""
+    p = np.broadcast_to(p, r.shape)
+    q = r // p
+    v = np.ones(r.shape, dtype=np.int8)
+    live = np.flatnonzero(q % p == 0)
+    while live.size:
+        pl = p[live]
+        q[live] //= pl
+        v[live] += 1
+        live = live[q[live] % pl == 0]
+    return q, v
+
+
+def _axis_exponent(x: np.ndarray, p: int, k: int) -> np.ndarray:
+    """floor(v_p(x) / k) along one axis; x = 0 reads as an exponent larger
+    than any the other axis allows."""
+    e = np.where(x == 0, np.iinfo(np.int8).max, 0).astype(np.int8)
+    q, top = p**k, int(np.abs(x).max(initial=0))
+    while q <= top:
+        e += (x % q == 0) & (x != 0)
+        q *= p**k
+    return e
+
+
+# The odd sieve joins a chunk of consecutive primes at once, closing it
+# before n * sum(2/p), a bound on the hits among n curves, passes _CHUNK_HITS.
+# On a 2-core host conductor_log_batch at family(1e7) took 35.7, 34.3, 35.7
+# and 35.0 ms under budgets of 2^13, 2^14, 2^15 and 2^16 (medians of 15), and
+# W, P2 and the conductor average at family(1e7) peaked at 49.3, 49.6, 51.9
+# and 52.4 MiB RSS, against 53.6 MiB with one prime at a time.  A fixed
+# budget, not one in proportion to n, runs family(1e4) and 1e5 as one join.
+_CHUNK_HITS = 1 << 14
+
+
+def _prime_chunks(primes: list[int], n: int) -> list[list[int]]:
+    chunks: list[list[int]] = []
+    hits = _CHUNK_HITS
+    for p in primes:
+        if hits + 2 * n / p > _CHUNK_HITS:
+            chunks.append([])
+            hits = 0.0
+        chunks[-1].append(p)
+        hits += 2 * n / p
+    return chunks
 
 
 def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
@@ -141,11 +194,23 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
     """(log n, log n_lo, log n_hi) over the grid na x nb of curves, vectorized.
 
     Same heuristic as conductor().  The arrays are flat in a-major order
-    (cell i * nb.size + j is the curve (na[i], nb[j])).  The odd part of the
-    minimal |disc|/16 is sieved one prime p >= 5 at a time on the two axes:
-    p | 4a^3 + 27b^2 exactly when -4a^3 = 27b^2 (mod p), so joining the sorted
-    keys 27b^2 mod p against the keys -4a^3 mod p yields the cells p divides
-    in O(na + nb) key work plus O(hits), not O(na * nb) trial divisions.
+    (cell i * nb.size + j is the curve (na[i], nb[j])).
+
+    Minimization reads floor(v_p(a) / 4) and floor(v_p(b) / 6) off the two
+    axes (a zero coefficient constrains nothing) and divides only the cells
+    where their minimum is positive.  Powers of 3 are peeled from the cells
+    still divisible, on a compacted copy.
+
+    The odd part of the minimal |disc|/16 is sieved on the two axes: p | 4a^3
+    + 27b^2 exactly when -4a^3 = 27b^2 (mod p), so joining the keys -4a^3 mod
+    p against the sorted keys 27b^2 mod p yields the cells p divides in
+    O(na + nb) key work plus O(hits), not O(na * nb) trial divisions.  A chunk
+    of consecutive primes runs as one join, keyed slot * (max p + 1) +
+    residue, whose hits come out in ascending prime order.  f_p reads off the
+    a-axis, since u^4 | a with u free of p keeps p | a unchanged; only when
+    some prime p >= 5 entered the minimization are the hits filtered by p |
+    rem and f_p read off the minimal a.  np.add.at adds f_p log p to each
+    cell in that order, so the sums round as one prime at a time would.
 
     The sieve stops at root = icbrt(max rem), rem being each cell's minimal
     |disc|/16 with its 2- and 3-parts divided out.  Every prime factor of a
@@ -154,75 +219,90 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
     q^2 | rem, so q and q*r are multiplicative at each factor and add
     log(rem), while q^2 adds f_q log q with f_q = 2 exactly when q | a.
     stats, when given, receives "primes", the number of primes the odd
-    sieve ran.
+    sieve ran, and "hits", the (curve, p) pairs with p | minimal disc.
     """
     na = np.asarray(na, dtype=np.int64)
     nb = np.asarray(nb, dtype=np.int64)
     if na.ndim != 1 or nb.ndim != 1:
         raise ValueError("curve axes must be 1-D")
-    a = np.repeat(na, nb.size)
-    b = np.tile(nb, na.size)
-    if np.any(4 * a**3 + 27 * b**2 == 0):
-        raise ValueError("singular curve in batch")
+    # p | 4a^3 + 27b^2 exactly when a_side = b_side (mod p)
+    a_side, b_side = -4 * na**3, 27 * nb**2
+    rem = np.subtract.outer(a_side, b_side).ravel()  # -disc / 16; |.| divided down below
+    singular = np.flatnonzero(rem == 0)
+    if singular.size:
+        i, j = divmod(int(singular[0]), nb.size)
+        raise ValueError(f"singular curve in batch: (a, b) = ({na[i]}, {nb[j]})")
+    np.abs(rem, out=rem)
+    a = np.repeat(na, nb.size)  # each cell's minimal-model a
     # remove u^4 | a, u^6 | b: p^4 <= |a| when a != 0, p^6 <= |b| when a = 0
     amax = int(np.abs(na).max()) if na.size else 0
     b0max = int(np.abs(nb).max()) if np.any(na == 0) and nb.size else 0
+    filtered = False
     for p in sieve_primes(max(int(amax ** 0.25) + 1, int(b0max ** (1 / 6)) + 1, 2)):
-        p4, p6 = p**4, p**6
-        while True:
-            m = (a % p4 == 0) & (b % p6 == 0) & (a != 0)
-            m |= (a == 0) & (b % p6 == 0) & (b != 0)
-            if not m.any():
-                break
-            a[m] //= p4
-            b[m] //= p6
-    rem = np.abs(4 * a**3 + 27 * b**2)  # |disc| / 16, divided down below
-    del b
+        ea, eb = _axis_exponent(na, p, 4), _axis_exponent(nb, p, 6)
+        ia, jb = np.flatnonzero(ea), np.flatnonzero(eb)
+        if not (ia.size and jb.size):
+            continue
+        e = np.minimum.outer(ea[ia], eb[jb]).ravel().astype(np.int64)
+        cells = np.add.outer(ia * nb.size, jb).ravel()
+        rem[cells] //= p ** (12 * e)
+        a[cells] //= p ** (4 * e)
+        filtered |= p >= 5
     # v2 of disc = 4 + v2(d); the factor 16 never meets the p >= 5 part
     v2 = np.frexp((rem & -rem).astype(np.float64))[1] - 1
     rem >>= v2
     v2 += 4
-    v3 = np.zeros(a.shape, dtype=np.int64)
-    for _ in range(41):
-        m = rem % 3 == 0
-        if not m.any():
-            break
-        v3[m] += 1
-        rem[m] //= 3
+    v3 = np.zeros(rem.shape, dtype=np.int32)  # int8 * float is float16 under numpy 1.x
+    idx = np.flatnonzero(rem % 3 == 0)
+    rem[idx], v3[idx] = _peel(rem[idx], 3)
     root = icbrt(int(rem.max()) if rem.size else 0)
-    log_odd = np.zeros(a.shape, dtype=np.float64)
-    rows = np.arange(na.size, dtype=np.int64) * nb.size
-    a_side, b_side = -4 * na**3, 27 * nb**2
+    log_odd = np.zeros(rem.shape, dtype=np.float64)
+    div = np.ones_like(rem)  # the sieved p-parts of each cell
     primes = [p for p in sieve_primes(root) if p >= 5]
-    for p in primes:
-        ka, kb = a_side % p, b_side % p
-        order = kb.argsort()
-        kb = kb[order]
+    hits = 0
+    for chunk in _prime_chunks(primes, rem.size):
+        k, m = len(chunk), chunk[-1] + 1
+        ps = np.array(chunk, dtype=np.int64)[:, None]
+        off = np.arange(k, dtype=np.int64)[:, None] * m  # slot s keys s * m + residue
+        bres = b_side % ps
+        # residues fit the narrowest unsigned type, whose stable sort is a radix sort
+        order = bres.astype(np.min_scalar_type(m)).argsort(axis=1, kind="stable")
+        kb = (np.take_along_axis(bres, order, axis=1) + off).ravel()
+        ka = (a_side % ps + off).ravel()
         lo = kb.searchsorted(ka, side="left")
         cnt = kb.searchsorted(ka, side="right") - lo
         total = int(cnt.sum())
         if total == 0:
             continue
-        # flat cells of the original grid that p divides; minimization divides
-        # disc by u^12, so keep those p still divides
-        start = np.cumsum(cnt) - cnt
-        pos = np.arange(total) - np.repeat(start - lo, cnt)
-        idx = np.repeat(rows, cnt) + order[pos]
-        idx = idx[rem[idx] % p == 0]
-        fp = np.where(a[idx] % p != 0, 1, 2)
-        log_odd[idx] += fp * math.log(p)
-        r = rem[idx]
-        while True:
-            m = r % p == 0
-            if not m.any():
-                break
-            r[m] //= p
-        rem[idx] = r
+        # expand each (slot, a) pair into the cells of its equal b-keys, slot
+        # by slot, so in ascending prime order
+        pos = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+        idx = np.repeat(np.tile(np.arange(na.size) * nb.size, k), cnt) + order.ravel()[pos]
+        per_slot = cnt.reshape(k, na.size).sum(axis=1)
+        p = np.repeat(chunk, per_slot)
+        logs = np.array([math.log(q) for q in chunk])
+        if filtered:
+            # minimization divides disc by u^12, so keep the hits p still
+            # divides, and read f_p off the minimal a
+            keep = rem[idx] % p == 0
+            idx, p = idx[keep], p[keep]
+            w = np.where(a[idx] % p != 0, 1, 2) * np.repeat(logs, per_slot)[keep]
+        else:
+            w = np.repeat((np.where(na % ps != 0, 1, 2) * logs[:, None]).ravel(), cnt)
+        np.add.at(log_odd, idx, w)
+        np.multiply.at(div, idx, p ** _peel(rem[idx], p)[1])
+        hits += idx.size
     if stats is not None:
         stats["primes"] = len(primes)
-    big = rem > 1
-    log_odd[big] += _leftover_log(rem[big], a[big])
+        stats["hits"] = hits
+    rem //= div
+    del div
+    log_odd += _leftover_log(rem, a)
+    del rem, a
     l2, l3 = math.log(2), math.log(3)
-    log_n = log_odd + np.minimum(v2, F2_CAP) * l2 + np.minimum(v3, F3_CAP) * l3
-    log_hi = log_odd + F2_CAP * l2 + np.where(v3 > 0, F3_CAP, 0) * l3
-    return log_n, log_odd.copy(), log_hi
+    log_n = np.minimum(v2, F2_CAP) * l2
+    log_n += log_odd  # IEEE addition commutes, so this is log_odd + that
+    log_n += np.minimum(v3, F3_CAP) * l3
+    log_hi = log_odd + F2_CAP * l2
+    log_hi += np.where(v3 > 0, F3_CAP * l3, 0.0)
+    return log_n, log_odd, log_hi

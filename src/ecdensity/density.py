@@ -463,7 +463,8 @@ def p2_predicted_over_w(f: FamilySpec) -> float:
 def conductor_term(f: FamilySpec, stats: dict | None = None) -> tuple[float, float, float]:
     """(C, C_lo, C_hi): weighted averages of log N / log X over the family,
     at the heuristic conductor and at both ends of its sensitivity band.
-    stats, when given, receives conductor_log_batch's "primes" count."""
+    stats, when given, receives conductor_log_batch's "primes" and "hits"
+    counts."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
     wv = np.outer(wa, wb).ravel()
@@ -561,6 +562,7 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     c, c_lo, c_hi = conductor_term(f, c_stats)
     timings["conductor"] = time.perf_counter() - t0
     counts["conductor_primes"] = c_stats["primes"]
+    counts["conductor_hits"] = c_stats["hits"]
     phihat0 = f.phi.phihat0
     phi0 = f.phi.phi0
     assembled = phihat0 * c + 0.5 * phi0 - (p1 + p2) / w

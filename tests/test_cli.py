@@ -109,7 +109,7 @@ def test_density_stderr_explains_timing(capsys):
     assert timing.startswith("X=250 p1=")
     keys = [part.split("=")[0] for part in timing.split()[1:]]
     assert keys == ["p1", "p1_transform", "p1_contract", "p2", "conductor",
-                    "p1_terms", "p1_cells", "conductor_primes"]
+                    "p1_terms", "p1_cells", "conductor_primes", "conductor_hits"]
     # the CSV on stdout is the one sweep_csv writes
     assert captured.out == cli.sweep_csv([cli.density_report(cli.family(250), "poisson")])
     main(["density", "--x", "250", "--method", "direct"])

@@ -16,7 +16,7 @@ from ecdensity.curves import (
     minimal_short_model,
     reduction_type,
 )
-from ecdensity.density import _axis_lattice, density_report, report_json
+from ecdensity.density import _axis_lattice, conductor_term, density_report, family, report_json
 
 
 def test_disc_formula():
@@ -139,6 +139,21 @@ def test_batch_minimizes_at_primes_from_five():
     # u = 5 beside cells that stay unminimized (5^5 | b only) and so keep 5
     _assert_grid_matches_scalar([2 * 5**4, -(5**4), 3 * 5**4],
                                 [3 * 5**6, -(5**6), 5**5, 2 * 5**6])
+
+
+@pytest.mark.parametrize("na, nb", [
+    ([1250, -1875, 2401, 0], [15625, -46875, 7, 1]),
+    ([1250, -1875, 2401, 7], [15625, -46875, 0, 1]),
+])
+def test_batch_minimizes_at_five_beside_cells_it_does_not(na, nb):
+    # 1250 = 2 * 5^4 and -1875 = -3 * 5^4 against 15625 = 5^6 and -46875 =
+    # -3 * 5^6: four cells minimize at 5, and so do (0, 5^6) and (0, -3 * 5^6)
+    # on the a = 0 row, or (2 * 5^4, 0) and (-3 * 5^4, 0) on the b = 0 column;
+    # 2401 = 7^4 minimizes only against b = 0
+    u = [conductor(a, b).u for a in na for b in nb]
+    assert sum(x == 5 for x in u) == 6 and sum(x == 7 for x in u) == (0 in nb)
+    assert set(u) <= {1, 5, 7}
+    _assert_grid_matches_scalar(na, nb)
 
 
 def test_batch_minimizes_a_zero_by_sixth_powers_of_b():
@@ -266,15 +281,31 @@ def test_batch_sieve_stops_at_cube_root(monkeypatch):
 def test_conductor_primes_counted_at_family_1e3(fam_1e3):
     na = [int(a) for a in _axis_lattice(fam_1e3, 0)[0]]
     nb = [int(b) for b in _axis_lattice(fam_1e3, 1)[0]]
-    _, root = _odd_rems(na, nb)
-    want = sum(1 for p in sieve_primes(root) if p >= 5)
+    rems, root = _odd_rems(na, nb)
+    primes = [p for p in sieve_primes(root) if p >= 5]
+    # (curve, p) pairs with p | minimal disc, by plain trial division
+    hits = sum(1 for r in rems for p in primes if r % p == 0)
     rep = density_report(fam_1e3)
-    assert rep.term_counts["conductor_primes"] == want > 0
-    assert json.loads(report_json(rep))["term_counts"]["conductor_primes"] == want
+    assert rep.term_counts["conductor_primes"] == len(primes) > 0
+    assert rep.term_counts["conductor_hits"] == hits > 0
+    counts = json.loads(report_json(rep))["term_counts"]
+    assert (counts["conductor_primes"], counts["conductor_hits"]) == (len(primes), hits)
+
+
+def test_conductor_term_reprs_pinned():
+    # read before the odd sieve ran in stacked chunks; only exact conductors at
+    # 2 and 3 should move them
+    assert [repr(v) for v in conductor_term(family(1e6))] == [
+        "1.3754970806686186", "1.0096260071468175", "1.5434512929241777"]
+    assert [repr(v) for v in conductor_term(family(1e7))] == [
+        "1.321665720744381", "1.0080079447977932", "1.4656313759694575"]
 
 
 def test_batch_rejects_singular_and_shape_mismatch():
     with pytest.raises(ValueError):
         conductor_log_batch(np.array([-3]), np.array([2]))
+    # the first singular cell in a-major order is named
+    with pytest.raises(ValueError, match=r"\(a, b\) = \(-3, 2\)"):
+        conductor_log_batch(np.array([1, -3]), np.array([5, 2]))
     with pytest.raises(ValueError):
         conductor_log_batch(np.array([[1, 2]]), np.array([1]))
