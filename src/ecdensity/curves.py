@@ -156,6 +156,15 @@ def _peel(r: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return q, v
 
 
+def _p_part(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p^v_p(r) for each entry of r, every entry divisible by its p.  The
+    part is p unless p^2 | r, so only those entries are peeled."""
+    part = p.copy()
+    deep = np.flatnonzero(r % (p * p) == 0)
+    part[deep] **= _peel(r[deep], p[deep])[1]
+    return part
+
+
 def _axis_exponent(x: np.ndarray, p: int, k: int) -> np.ndarray:
     """floor(v_p(x) / k) along one axis; x = 0 reads as an exponent larger
     than any the other axis allows."""
@@ -198,8 +207,9 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
 
     Minimization reads floor(v_p(a) / 4) and floor(v_p(b) / 6) off the two
     axes (a zero coefficient constrains nothing) and divides only the cells
-    where their minimum is positive.  Powers of 3 are peeled from the cells
-    still divisible, on a compacted copy.
+    where their minimum is positive.  3 | 4a^3 + 27b^2 forces 27 | it, so
+    the cells divisible by 3 are divided by 27 at once, and further powers
+    of 3 are peeled only from the cells still divisible.
 
     The odd part of the minimal |disc|/16 is sieved on the two axes: p | 4a^3
     + 27b^2 exactly when -4a^3 = 27b^2 (mod p), so joining the keys -4a^3 mod
@@ -253,8 +263,14 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
     rem >>= v2
     v2 += 4
     v3 = np.zeros(rem.shape, dtype=np.int32)  # int8 * float is float16 under numpy 1.x
+    # 3 | 4a^3 + 27b^2 forces 3 | a and so 27 | rem: divide that at once
     idx = np.flatnonzero(rem % 3 == 0)
-    rem[idx], v3[idx] = _peel(rem[idx], 3)
+    rem[idx] //= 27
+    v3[idx] = 3
+    idx = idx[rem[idx] % 3 == 0]
+    rem[idx], v = _peel(rem[idx], 3)
+    v3[idx] += v
+    del idx, v  # left alive, they split the heap under the grid arrays below
     root = icbrt(int(rem.max()) if rem.size else 0)
     log_odd = np.zeros(rem.shape, dtype=np.float64)
     div = np.ones_like(rem)  # the sieved p-parts of each cell
@@ -290,7 +306,7 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
         else:
             w = np.repeat((np.where(na % ps != 0, 1, 2) * logs[:, None]).ravel(), cnt)
         np.add.at(log_odd, idx, w)
-        np.multiply.at(div, idx, p ** _peel(rem[idx], p)[1])
+        np.multiply.at(div, idx, _p_part(rem[idx], p))
         hits += idx.size
     if stats is not None:
         stats["primes"] = len(primes)

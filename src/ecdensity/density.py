@@ -37,14 +37,20 @@ double sum into
 whose (h, k) window shrinks with the transform decay of the weight.  Terms
 with |what| < tail_tol are dropped, so the routes differ by that truncation,
 not by rounding: 8.5e-5, 1.6e-4 and 4.0e-3 relative at X = 1e3, 1e4, 1e5 by
-default.  _dual_windows finds each prime's kept cells with h >= 0 and
-k > 0 (all poisson_term_count needs), from weight transforms evaluated for
-a group of consecutive primes per call, and _dual_sum builds them as a
-staircase of row blocks whose phases are indexed by discrete logs; each
+default.  The route makes one pass per group of _P1_GROUP consecutive
+primes.  _dual_groups finds the kept cells with h >= 0 and k > 0 of every
+prime in the group (all poisson_term_count needs) as stacked arrays: one
+weight-transform call per axis, one kept-column mask, one stable sort of
+|vb| that orders the columns and serves the row cuts, and the cuts of every
+prime by the exact product test of _row_cuts.  _dual_group_sums takes the
+discrete logs of the group from one characters.dlog_tables context and the
+column coefficients, phase offsets and row order as stacked gathers, and
+per prime builds only its phase table and the staircase of row blocks; each
 built cell, with one real coefficient per column, also serves -h and -k, so
 the p1_cells count of built cells is about a quarter to a third of p1_terms
 and every prime's term is real to the bit (p1_imag_leak is 0.0).  On a
-2-core host P1 takes about 0.25 s at X = 1e5 and 2.5 s at 1e6.
+2-core host with one BLAS thread P1 takes about 0.16 s at X = 1e5 and
+2.0 s at 1e6.
 
 Both routes and P2 read their primes and weights
 w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
@@ -67,7 +73,7 @@ import numpy as np
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
 from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
-from .characters import (DirichletCharacter, char_eval, character_table, dlog_table,
+from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
                          roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_batch
 from .frobenius import TABLE_CAP, get_table, lambda_p, lambda_p2, sieved_blocks
@@ -316,42 +322,73 @@ def _dual_extent(f: FamilySpec, p: int, radii: tuple[float, float]) -> tuple[int
     return int(r0 * p / f.a_scale), int(r1 * p / f.b_scale)
 
 
-class _DualWindow(NamedTuple):
-    """The kept cells of the dual (h, k) block at p with h >= 0, k > 0."""
+class _DualGroup(NamedTuple):
+    """The kept cells of the dual (h, k) blocks with h >= 0, k > 0 at a group
+    of consecutive primes, one row per prime, padded to the group's widest
+    window."""
 
-    k: np.ndarray     # columns 0 < k <= kmax with p not dividing k
-    va: np.ndarray    # axis-0 transform at hA/p, h = 0..hmax
-    vb: np.ndarray    # axis-1 transform at kB/p over the columns k
-    cuts: np.ndarray  # per row h, the count of k with |va| |vb| >= tail_tol
-    kept: int         # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
+    ps: list[int]
+    va: np.ndarray    # axis-0 transform at hA/p, h = 0..max hmax
+    vb: np.ndarray    # axis-1 transform at kB/p, k = 1..max kmax
+    keep: np.ndarray  # the columns 0 < k <= kmax with p not dividing k
+    cols: np.ndarray  # k - 1 by stable descending |vb|, |vb| read as 0 off keep
+    cuts: np.ndarray  # per row h, the count of kept k with |va| |vb| >= tail_tol
+    kept: list[int]   # kept (h, k) of all signs: 4 per cut cell, 2 on row h = 0
 
 
-def _dual_windows(f: FamilySpec, primes: list[int], radii: tuple[float, float],
-                  stats: dict | None = None) -> Iterator[tuple[int, _DualWindow]]:
-    """(p, window at p) over _dual_extent, truncated at f.tail_tol, for each
-    prime in turn.  The axis transforms come from one axis_progressions call
-    per axis and group of _P1_GROUP consecutive primes, each group padded to
-    its widest extent; stats["points"] counts the points they evaluate."""
+def _group_cuts(absa: np.ndarray, desc: np.ndarray, tol: float) -> np.ndarray:
+    """_row_cuts for a stack of primes at once: absa holds each prime's |va|,
+    zero past its window, and desc its |vb| in descending order.  A
+    searchsorted guess per prime, then steps by the exact product over the
+    whole stack."""
+    n = desc.shape[1]
+    if n == 0:
+        return np.zeros(absa.shape, dtype=np.intp)
+    thr = -tol / np.maximum(absa, 1e-300)
+    cut = np.stack([np.searchsorted(a, t, side="right") for a, t in zip(-desc, thr)])
+    rows = np.arange(len(desc))[:, None]
+    while (down := (cut > 0) & (absa * desc[rows, cut - 1] < tol)).any():
+        cut -= down
+    while (up := (cut < n) & (absa * desc[rows, np.minimum(cut, n - 1)] >= tol)).any():
+        cut += up
+    return cut
+
+
+def _dual_group(f: FamilySpec, group: list[int], radii: tuple[float, float],
+                stats: dict | None = None) -> _DualGroup:
+    """The windows over _dual_extent, truncated at f.tail_tol, of a group of
+    consecutive primes.  The axis transforms come from one
+    axis_progressions call per axis, padded to the group's widest extent;
+    stats["points"] counts the points they evaluate.  One stable sort of |vb|,
+    dropped columns zeroed, orders the columns of every prime."""
+    hmax, kmax = np.array([_dual_extent(f, p, radii) for p in group]).T
+    ps = np.array(group, dtype=float)
+    vas = f.weight.axis_progressions(0, f.a_scale / ps, int(hmax.max()))
+    vbs = f.weight.axis_progressions(1, f.b_scale / ps, int(kmax.max()))
+    if stats is not None:
+        stats["points"] = stats.get("points", 0) + vas.size + vbs.size
+    vbs = vbs[:, 1:]
+    k = np.arange(1, vbs.shape[1] + 1)
+    keep = (k <= kmax[:, None]) & (k % np.array(group)[:, None] != 0)  # (k/p) = 0 at p | k
+    negb = np.where(keep, -np.abs(vbs), 0.0)
+    cols = np.argsort(negb, axis=1, kind="stable")
+    # |va| past each prime's hmax reads 0, which keeps no cell
+    absa = np.where(np.arange(vas.shape[1]) <= hmax[:, None], np.abs(vas), 0.0)
+    cuts = _group_cuts(absa, -np.take_along_axis(negb, cols, axis=1), f.tail_tol)
+    return _DualGroup(group, vas, vbs, keep, cols, cuts,
+                      (4 * cuts.sum(axis=1) - 2 * cuts[:, 0]).tolist())
+
+
+def _dual_groups(f: FamilySpec, primes: list[int], radii: tuple[float, float],
+                 stats: dict | None = None) -> Iterator[_DualGroup]:
+    """_dual_group of each run of _P1_GROUP consecutive primes in turn."""
     for g in range(0, len(primes), _P1_GROUP):
-        group = primes[g:g + _P1_GROUP]
-        ext = [_dual_extent(f, p, radii) for p in group]
-        ps = np.array(group, dtype=float)
-        vas = f.weight.axis_progressions(0, f.a_scale / ps, max(e[0] for e in ext))
-        vbs = f.weight.axis_progressions(1, f.b_scale / ps, max(e[1] for e in ext))
-        if stats is not None:
-            stats["points"] = stats.get("points", 0) + vas.size + vbs.size
-        for p, (hmax, kmax), va, vb in zip(group, ext, vas, vbs):
-            k = np.arange(1, kmax + 1, dtype=np.int64)
-            keep = k % p != 0  # (k/p) = 0 there, exactly
-            va, vb = va[: hmax + 1], vb[1 : kmax + 1][keep]
-            cuts = (_row_cuts(np.abs(va), np.abs(vb), f.tail_tol) if vb.size
-                    else np.zeros(va.size, dtype=np.intp))
-            yield p, _DualWindow(k[keep], va, vb, cuts,
-                                 4 * int(cuts.sum()) - 2 * int(cuts[0]))
+        yield _dual_group(f, primes[g:g + _P1_GROUP], radii, stats)
 
 
-def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
-    """(S_p, phase cells built): the dual (h, k) sum at p over the kept cells.
+def _dual_group_sums(grp: _DualGroup) -> list[tuple[complex, int]]:
+    """(S_p, phase cells built) at each prime of the group: the dual (h, k)
+    sum over the kept cells.
 
     The block folds over both signs.  va(-h) = conj va(h) and vb(-k) =
     conj vb(k) exactly, so the four cells (+-h, +-k) keep or drop together;
@@ -364,38 +401,48 @@ def _dual_sum(p: int, win: _DualWindow) -> tuple[complex, int]:
     u_h = 2 va(h), u_0 = va(0).  The phase of h^3 kbar^2 = g^(3 dl(h) -
     2 dl(k)) is read from a doubled table of g-powers by an integer sum, with
     one extra stretch of ones for the rows h = 0 mod p and a 0 sentinel.
-    Columns go in stable descending |vb| order and the non-empty rows in
-    descending kept count, so the kept cells form a staircase; it is
-    contracted in one row block per _P1_BLOCK_CELLS kept cells, at most
-    _P1_BLOCKS, each as wide as its widest row."""
-    k, va, vb, cuts, _ = win
-    cols = np.argsort(-np.abs(vb), kind="stable")
-    pw, dl = dlog_table(p)
-    dk = dl[k[cols] % p]
-    imag = p % 4 == 3  # (-1/p) = -1, so S_p is i times a real sum
-    vk = vb[cols].imag if imag else vb[cols].real
-    coeff = np.where(dk & 1, -2.0, 2.0) * vk
-    rows = np.argsort(-cuts, kind="stable")[: np.count_nonzero(cuts)]
-    u = 2.0 * va
-    u[0] = va[0]  # row h = 0 counts once
+    Columns go in the group's column order and rows in stable descending
+    kept count, so the kept cells form a staircase; it is contracted in one
+    row block per _P1_BLOCK_CELLS kept cells, at most _P1_BLOCKS, each as
+    wide as its widest row.  Everything but omega and the blocks is built
+    once for the group, from one characters.dlog_tables context."""
+    pi = np.array(grp.ps, dtype=np.int64)[:, None]
+    pw, dl = dlog_tables(grp.ps)
+    dk = np.take_along_axis(dl, (grp.cols + 1) % pi, axis=1)
+    vk = np.take_along_axis(grp.vb, grp.cols, axis=1)
+    imag = pi % 4 == 3  # (-1/p) = -1, so S_p is i times a real sum
+    coeff = np.where(dk & 1, -2.0, 2.0) * np.where(imag, vk.imag, vk.real)
+    # cuts fit the narrowest unsigned type, whose stable sort is a radix sort
+    top = int(grp.cuts.max(initial=0))
+    rows = (top - grp.cuts).astype(np.min_scalar_type(top)).argsort(axis=1, kind="stable")
+    cuts = np.take_along_axis(grp.cuts, rows, axis=1)
+    u = 2.0 * grp.va
+    u[:, 0] = grp.va[:, 0]  # row h = 0 counts once
+    u = np.take_along_axis(u, rows, axis=1)
     # indices into omega stay below 3p, so int32 holds; 3(p - 1) is the sentinel
-    hmod = np.arange(va.size) % p
-    ah = np.where(hmod == 0, 2 * (p - 1), 3 * dl[hmod] % (p - 1)).astype(np.int32)
-    bk = (-2 * dk % (p - 1)).astype(np.int32)
-    wpow = roots_of_unity(p).conj()[pw]
-    omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
-    s_p = 0.0
-    cells = 0
-    n = rows.size
-    nblk = min(_P1_BLOCKS, n, -(-int(cuts.sum()) // _P1_BLOCK_CELLS))
-    for j in range(nblk):
-        r = rows[j * n // nblk : (j + 1) * n // nblk]
-        width, low = int(cuts[r[0]]), int(cuts[r[-1]])
-        phase = np.add.outer(ah[r], bk[:width])
-        np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= cuts[r, None])
-        s_p += float((u[r] @ (omega.take(phase) @ coeff[:width])).real)
-        cells += phase.size
-    return complex(0.0, s_p) if imag else complex(s_p), cells
+    hmod = rows % pi
+    dh = np.take_along_axis(dl, hmod, axis=1).astype(np.int64)
+    ah = np.where(hmod == 0, 2 * (pi - 1), 3 * dh % (pi - 1)).astype(np.int32)
+    bk = (-2 * dk.astype(np.int64) % (pi - 1)).astype(np.int32)
+    out = []
+    for i, p in enumerate(grp.ps):
+        c = cuts[i]
+        n = int(np.count_nonzero(c))
+        nblk = min(_P1_BLOCKS, n, -(-int(c.sum()) // _P1_BLOCK_CELLS))
+        s_p = 0.0
+        cells = 0
+        if nblk:
+            wpow = roots_of_unity(p).conj()[pw[i, :p - 1]]
+            omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
+        for j in range(nblk):
+            lo, hi = j * n // nblk, (j + 1) * n // nblk
+            width, low = int(c[lo]), int(c[hi - 1])
+            phase = np.add.outer(ah[i, lo:hi], bk[i, :width])
+            np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= c[lo:hi, None])
+            s_p += float((u[i, lo:hi] @ (omega.take(phase) @ coeff[i, :width])).real)
+            cells += phase.size
+        out.append((complex(0.0, s_p) if p % 4 == 3 else complex(s_p), cells))
+    return out
 
 
 def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
@@ -410,19 +457,21 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     primes = _prime_weights(f, 1)[0]
     counts: dict = {"points": 0}
     t0 = time.perf_counter()
-    for p, win in _dual_windows(f, primes, _dual_radii(f), counts):
+    for grp in _dual_groups(f, primes, _dual_radii(f), counts):
         t1 = time.perf_counter()
-        s_p, c = _dual_sum(p, win)
+        sums = _dual_group_sums(grp)
         t2 = time.perf_counter()
         window_s += t1 - t0
         sum_s += t2 - t1
-        terms += win.kept
-        cells += c
-        w1 = float(f.phi.phihat(math.log(p) / lx))
-        psi = 1.0 + 0.0j if p % 4 == 1 else 1.0j  # psi4(p), p sieved
-        v = psi * (2.0 * math.log(p) / p**1.5) * w1 * s_p
-        re.append(v.real)
-        im.append(v.imag)
+        for p, kept, (s_p, c) in zip(grp.ps, grp.kept, sums):
+            terms += kept
+            cells += c
+            w1 = float(f.phi.phihat(math.log(p) / lx))
+            psi = 1.0 + 0.0j if p % 4 == 1 else 1.0j  # psi4(p), p sieved
+            v = psi * (2.0 * math.log(p) / p**1.5) * w1 * s_p
+            re.append(v.real)
+            im.append(v.imag)
+        del grp  # free the group's arrays before the next group's transforms
         t0 = time.perf_counter()
     total = -(f.a_scale * f.b_scale / lx) * complex(math.fsum(re), math.fsum(im))
     if stats is not None:
@@ -437,8 +486,8 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
 
 def poisson_term_count(f: FamilySpec) -> int:
     """Summand count of the dual route without evaluating the sums."""
-    windows = _dual_windows(f, _prime_weights(f, 1)[0], _dual_radii(f))
-    return sum(win.kept for _, win in windows)
+    groups = _dual_groups(f, _prime_weights(f, 1)[0], _dual_radii(f))
+    return sum(sum(grp.kept) for grp in groups)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ def test_batch_minimizes_a_zero_by_sixth_powers_of_b():
     # with a = 0 no fourth power of a bounds u; the sixth powers in b do
     assert conductor(0, 5**6).u == 5 and conductor(0, 2 * 7**6).u == 7
     _assert_grid_matches_scalar([0], [5**6, 2 * 7**6])
+
+
+def test_batch_deep_valuations_at_three_and_past_five():
+    # 3 | 4a^3 + 27b^2 forces 27 | it, so the 3-part divides by 27 at once and
+    # peels further only where 3 still divides; a sieve hit peels only where
+    # p^2 divides.  This grid has v3 = 3, 4, 5 and 6, and v_p >= 2 at 5 (to
+    # exponents 2 and 3), 7 and 11
+    na, nb = [-6, -15, 12, 21, -24, 33], [1, 7, 25, -9, 50, -125, 36]
+    v3, deep = Counter(), set()
+    for a in na:
+        for b in nb:
+            a1, b1, _ = minimal_short_model(a, b)
+            fac = factorize(abs(4 * a1**3 + 27 * b1**2))
+            v3[fac.valuation(3)] += 1
+            deep |= {(p, e) for p, e in fac.factors if p >= 5 and e >= 2}
+    assert v3 == {3: 37, 4: 3, 5: 1, 6: 1}
+    assert deep == {(5, 2), (5, 3), (7, 2), (11, 2)}
+    _assert_grid_matches_scalar(na, nb)
 
 
 def test_batch_stops_sieving_once_every_remainder_is_prime():

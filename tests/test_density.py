@@ -26,9 +26,9 @@ from ecdensity.density import (
     ZeroListTooShort,
     _axis_lattice,
     _dual_extent,
+    _dual_group_sums,
+    _dual_groups,
     _dual_radii,
-    _dual_sum,
-    _dual_windows,
     _lattice_blocks,
     _prime_weights,
     _p1_direct_chunk,
@@ -277,6 +277,18 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
         assert 4 * stats["cells"] >= stats["terms"]
 
 
+@pytest.mark.parametrize("x, want, cells", [
+    (1e3, "-0.0002316110791003078", 137_219),
+    (1e4, "-0.0003755939904706963", 1_434_769),
+])
+def test_p1_poisson_pinned(x, want, cells):
+    # the dual P1 and its built cells, as read before the windows, cuts and
+    # tables of a prime group were stacked
+    stats = {}
+    assert repr(p1_poisson(family(x), stats)) == want
+    assert stats["cells"] == cells
+
+
 def test_poisson_term_count_pinned():
     # the dual term set: a transform or row-cut change that flips one kept
     # (h, k) cell moves these counts; 1e6 holds the widest staircases
@@ -416,10 +428,10 @@ def _dense_dual_term(f, p):
 def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     # at p = 79411 (X = 1e7 reaches it) h^3 kbar^2 overflows int32
     f = family(x, tail_tol=tail_tol)
-    win = next(_dual_windows(f, [p], _dual_radii(f)))[1]
-    got, cells = _dual_sum(p, win)
+    grp = next(_dual_groups(f, [p], _dual_radii(f)))
+    [(got, cells)] = _dual_group_sums(grp)
     want, want_n, want_quarter = _dense_dual_term(f, p)
-    assert win.kept == want_n > 0
+    assert grp.kept == [want_n] and want_n > 0
     assert cells >= want_quarter  # cells with h < 0 or k < 0 come from h >= 0, k > 0
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
 
@@ -431,20 +443,49 @@ def _oracle_axes(f, p, h, k):
             wt.axis_transform(1, k * (f.b_scale / p)))
 
 
+def _group_windows(f):
+    """(p, row cuts over h = 0..hmax, kept columns k) of each P1 prime, cut
+    from the stacked groups."""
+    radii = _dual_radii(f)
+    for grp in _dual_groups(f, _prime_weights(f, 1)[0], radii):
+        for i, p in enumerate(grp.ps):
+            hmax = _dual_extent(f, p, radii)[0]
+            yield p, grp.cuts[i, : hmax + 1], np.flatnonzero(grp.keep[i]) + 1
+
+
+@pytest.mark.parametrize("x, tail_tol", [
+    # the h window at 1e3 passes p = 7, so rows h >= p are cut too
+    (1e3, DEFAULT_TAIL_TOL), (1e4, DEFAULT_TAIL_TOL), (1e4, 1e-14),
+])
+def test_group_cuts_match_row_cuts(x, tail_tol):
+    # the stacked cuts of each group against _row_cuts, the exact oracle, on
+    # the same transform values prime by prime
+    f = family(x, tail_tol=tail_tol)
+    radii = _dual_radii(f)
+    for grp in _dual_groups(f, _prime_weights(f, 1)[0], radii):
+        for i, p in enumerate(grp.ps):
+            hmax = _dual_extent(f, p, radii)[0]
+            want = _row_cuts(np.abs(grp.va[i, : hmax + 1]), np.abs(grp.vb[i, grp.keep[i]]),
+                             tail_tol)
+            assert np.array_equal(grp.cuts[i, : hmax + 1], want)
+            assert not grp.cuts[i, hmax + 1:].any()
+            assert grp.kept[i] == 4 * int(want.sum()) - 2 * int(want[0])
+
+
 @pytest.mark.parametrize("x", [1e3, 1e4])
 def test_dual_row_counts_are_mirror_symmetric(x):
     # the fold builds rows h >= 0 only; it needs row -h to keep row h's
     # count, and the window's half rows to keep half of each full row
     f = family(x)
     tol, radii = f.tail_tol, _dual_radii(f)
-    for p, win in _dual_windows(f, _prime_weights(f, 1)[0], radii):
+    for p, cuts, _ in _group_windows(f):
         hmax, kmax = _dual_extent(f, p, radii)
         k = np.arange(-kmax, kmax + 1)
         va, vb = _oracle_axes(f, p, np.arange(-hmax, hmax + 1), k)
         counts = _row_cuts(np.abs(va), np.abs(vb[k % p != 0]), tol)
         assert counts.size == 2 * hmax + 1
         assert np.array_equal(counts, counts[::-1])
-        assert np.array_equal(counts[hmax:], 2 * win.cuts)
+        assert np.array_equal(counts[hmax:], 2 * cuts)
 
 
 @pytest.mark.parametrize("x", [1e3, 1e4])
@@ -453,7 +494,7 @@ def test_dual_columns_fold_over_k(x):
     # the bit and every row to keep as many columns -k as columns k
     f = family(x)
     tol, radii = f.tail_tol, _dual_radii(f)
-    for p, win in _dual_windows(f, _prime_weights(f, 1)[0], radii):
+    for p, cuts, cols in _group_windows(f):
         hmax, kmax = _dual_extent(f, p, radii)
         k = np.arange(1, kmax + 1)
         va, pos = _oracle_axes(f, p, np.arange(hmax + 1), k)
@@ -463,7 +504,7 @@ def test_dual_columns_fold_over_k(x):
         both = _row_cuts(np.abs(va), np.abs(np.concatenate((neg[keep], pos[keep]))), tol)
         half = _row_cuts(np.abs(va), np.abs(pos[keep]), tol)
         assert np.array_equal(both, 2 * half)
-        assert np.array_equal(win.k, k[keep]) and np.array_equal(win.cuts, half)
+        assert np.array_equal(cols, k[keep]) and np.array_equal(cuts, half)
 
 
 def test_dual_report_splits_the_p1_timing(fam_250):
