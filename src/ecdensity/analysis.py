@@ -12,10 +12,10 @@ are a fixed 256-node Gauss-Legendre sum per axis, at single points, or on
 whole progressions for several steps at once: the nodes pair about the axis
 centre, so each progression is one real product of two power tables over
 the 128 node pairs (one complex exp per node and table, the rest by
-doubling).  The FFT magnitude profile of the unit bump, built once per
-process and scaled to each axis, supplies certified truncation radii for
-lattice sums (the quadrature itself is only trusted inside the profiled
-band).
+doubling).  The DFT magnitude profile of the unit bump, read from its real
+half-spectrum once per process and scaled to each axis, supplies certified
+truncation radii for lattice sums (the quadrature itself is only trusted
+inside the profiled band).
 """
 
 from __future__ import annotations
@@ -143,13 +143,15 @@ _PROFILE_BINS = 4096
 
 @cache
 def _unit_bump_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Gauss-Legendre nodes, weights, |FFT| of the unit bump sampled at
+    """(Gauss-Legendre nodes, weights, |DFT| of the unit bump sampled at
     _PROFILE_SAMPLES midpoints with 4x zero-padding, first 4 _PROFILE_BINS
-    bins), shared by every SmoothWeight and built on first use."""
+    bins), shared by every SmoothWeight and built on first use.  The samples
+    are real, so these bins come from the real half-spectrum (rfft), sliced
+    before abs: the same bins as the complex FFT's, at half its memory."""
     g, w = leggauss(GL_NODES)
     m = _PROFILE_SAMPLES
     samples = bump((np.arange(m) + 0.5) / m)
-    return g, w, np.abs(np.fft.fft(samples, n=4 * m))[: 4 * _PROFILE_BINS]
+    return g, w, np.abs(np.fft.rfft(samples, n=4 * m)[: 4 * _PROFILE_BINS])
 
 
 class SmoothWeight:

@@ -47,6 +47,7 @@ class UnitGroupBasis:
         return math.prod(self.orders) if self.orders else 1
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
     fac = factorize(p - 1)

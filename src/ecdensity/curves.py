@@ -179,10 +179,13 @@ def _axis_exponent(x: np.ndarray, p: int, k: int) -> np.ndarray:
 # The odd sieve joins a chunk of consecutive primes at once, closing it
 # before n * sum(2/p), a bound on the hits among n curves, passes _CHUNK_HITS.
 # On a 2-core host conductor_log_batch at family(1e7) took 35.7, 34.3, 35.7
-# and 35.0 ms under budgets of 2^13, 2^14, 2^15 and 2^16 (medians of 15), and
-# W, P2 and the conductor average at family(1e7) peaked at 49.3, 49.6, 51.9
-# and 52.4 MiB RSS, against 53.6 MiB with one prime at a time.  A fixed
-# budget, not one in proportion to n, runs family(1e4) and 1e5 as one join.
+# and 35.0 ms under budgets of 2^13, 2^14, 2^15 and 2^16 (medians of 15).
+# There W, P2 and the conductor average peaked at 45.1, 45.2, 47.9 and
+# 47.8 MiB RSS after a 41.8 MiB start-up (medians of 5 fresh processes; one
+# build reads up to 0.6 MiB apart with heap layout), and conductor_term's
+# traced peak (tracemalloc) was 10.3, 10.3, 11.1 and 12.1 MiB, 10.3 MiB with
+# one prime per join.  A fixed budget, not one in proportion to n, runs
+# family(1e4) and 1e5 as one join.
 _CHUNK_HITS = 1 << 14
 
 

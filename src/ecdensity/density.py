@@ -63,7 +63,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -262,6 +261,9 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     w2s = [{p: w2[p] for p, _ in c if p in w2} for c in chunks]
     pooled = f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK
     if pooled:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=f.threads) as ex:
             parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks, w2s))
     else:

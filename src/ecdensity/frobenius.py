@@ -48,10 +48,11 @@ TABLE_CAP = 1000  # the largest p read through the disk cache; auto routing's cu
 # On a 2-core host (one BLAS thread) direct P1 at family(1e4) took 33 ms in
 # runs of one prime against 27, 26 and 25 ms at caps of 2^14, 2^15 and 2^16
 # (medians of 60), and at 1e5 282 ms against 242 and 230 ms at 2^15 and 2^16
-# (medians of 21), within the host's noise of each other.  2^16 raised the
-# peak RSS of P2 plus the conductor average at family(1e7) from 53.2 to
-# 54.1 MiB; 2^15 leaves it at 53.3.  Under 2^15, primes above 2,048 are runs
-# of one.
+# (medians of 21), within the host's noise of each other.  At family(1e7)
+# the traced peak (tracemalloc) of P2 is 1.26 MiB in runs of one prime, 1.46
+# at 2^15 and 1.81 at 2^16; the process's peak RSS there, 45.2-45.4 MiB at
+# all three, is set by the conductor average.  Under 2^15, primes above
+# 2,048 are runs of one.
 _STACK_SAMPLES = 1 << 15
 
 def _check_p(p: int) -> None:

@@ -1,6 +1,7 @@
 """Test-function pairs, bump weights, transforms, Poisson summation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 from ecdensity.analysis import (
+    _PROFILE_BINS,
+    _PROFILE_SAMPLES,
     DEFAULT_BOX,
     GaussianPair,
     SmoothWeight,
     bump,
     fejer_pair,
+    _unit_bump_constants,
     poisson_mod_l_check,
     verify_fourier_pair,
 )
@@ -213,6 +217,53 @@ def test_radius_certifies_decay():
         assert mags.max() < 1.05 * thresh
     # tighter thresholds never shrink the radius
     assert w.radius(0, 1e-12) >= w.radius(0, 1e-4)
+
+
+def _complex_fft_profile():
+    # the envelope's oracle: the same bins from the full complex FFT
+    m = _PROFILE_SAMPLES
+    samples = bump((np.arange(m) + 0.5) / m)
+    return np.abs(np.fft.fft(samples, n=4 * m))[: 4 * _PROFILE_BINS]
+
+
+ENVELOPE_BOXES = [DEFAULT_BOX, (0.5, 1.0, 0.25, 2.0), (-3.0, -1.0, 0.1, 0.4),
+                  (0.25, 0.75, 0.5, 2.0)]
+
+
+def test_bump_profile_matches_complex_fft():
+    want = _complex_fft_profile()
+    got = _unit_bump_constants()[2]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * want.max()
+
+
+@pytest.mark.parametrize("box", ENVELOPE_BOXES)
+def test_radius_matches_complex_fft_envelope(box):
+    # the radii the dual route asks for, tail_tol over the other axis's mass,
+    # read from an envelope built as _axis_envelope builds it but on the oracle
+    w = SmoothWeight(box)
+    prof = _complex_fft_profile()
+    for i in (0, 1):
+        lo, hi = box[2 * i], box[2 * i + 1]
+        s = hi - lo
+        env = 1.15 * np.maximum.accumulate((s * prof / _PROFILE_SAMPLES)[::-1])[::-1]
+        du = 1.0 / (4.0 * s)
+        for tol in (1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14):
+            thresh = tol / w.axis_mass(1 - i)
+            want = du * len(env) if thresh <= env[-1] else du * int(np.argmax(env < thresh))
+            assert w.radius(i, thresh) == want
+
+
+def test_bump_profile_build_stays_small():
+    # the profile comes from the real half-spectrum: about 2.7 MiB traced,
+    # against 6.6 MiB for the complex FFT of the same padded samples
+    tracemalloc.start()
+    try:
+        _unit_bump_constants.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_gaussian_pair_closed_form_transform():

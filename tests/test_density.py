@@ -4,6 +4,7 @@ The brute-force oracles here are pure Python (pow-based symbols, explicit
 loops) so they share no code with the vectorized paths they certify.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -217,7 +218,7 @@ def test_p1_threads_bitwise_deterministic(fam_1e3, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("p1_direct started a process pool")
     want = [repr(p1_direct(f)) for f in (fam_1e3, family(1e4))]
-    monkeypatch.setattr(density, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert [repr(p1_direct(family(x, threads=2))) for x in (1e3, 1e4)] == want
 
 
@@ -527,6 +528,18 @@ def test_import_and_report_load_no_scipy():
     code = ("import sys, ecdensity\n"
             "ecdensity.density_report(ecdensity.family(1e3))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_serial_report_loads_no_process_pool():
+    # the pool and multiprocessing are imported only when p1_direct pools
+    code = ("import sys, ecdensity\n"
+            "ecdensity.density_report(ecdensity.family(1e3))\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "             if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
