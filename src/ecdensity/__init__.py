@@ -37,7 +37,6 @@ from .characters import (
     gauss_sum,
     gauss_sum_matrix,
     is_primitive,
-    principal_character,
     real_characters,
 )
 from .curves import ConductorInfo, conductor, minimal_short_model, reduction_type

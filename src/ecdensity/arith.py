@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +28,23 @@ def sieve_primes(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [i for i in range(limit + 1) if sieve[i]]
+
+
+def runs(costs: Sequence, budget, keys: Sequence | None = None) -> Iterator[range]:
+    """Split the indices of costs into runs of consecutive indices, the one
+    rule by which the pipeline batches consecutive primes.  A run closes
+    before an index whose key differs from the run's first key or whose
+    cost, added in order to the run's, would pass budget; so an index whose
+    cost alone is over budget is a run of its own."""
+    start = used = 0
+    for i, cost in enumerate(costs):
+        if i > start and ((keys is not None and keys[i] != keys[start])
+                          or used + cost > budget):
+            yield range(start, i)
+            start, used = i, 0
+        used += cost
+    if costs:
+        yield range(start, len(costs))
 
 
 def smallest_factor_table(limit: int) -> list[int]:

@@ -235,11 +235,6 @@ class DirichletCharacter:
         return char_eval(self, n)
 
 
-def principal_character(q: int) -> DirichletCharacter:
-    g = char_group(q)
-    return DirichletCharacter(q, (0,) * g.r)
-
-
 def _characters_with_principal_power(q: int, k: int) -> list[DirichletCharacter]:
     """Characters mod q with chi^k principal (k = 0: all of them), in
     lexicographic exponent order, so the principal one comes first.  On a
@@ -274,13 +269,6 @@ def char_eval(chi: DirichletCharacter, n: int) -> complex:
     return cmath.exp(2j * math.pi * t / g.L)
 
 
-def char_mul(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
-    if a.q != b.q:
-        raise ValueError("character product needs a common modulus")
-    g = char_group(a.q)
-    return DirichletCharacter(a.q, tuple((x + y) % m for x, y, m in zip(a.e, b.e, g.orders)))
-
-
 def char_conj(chi: DirichletCharacter) -> DirichletCharacter:
     g = char_group(chi.q)
     return DirichletCharacter(chi.q, tuple((-x) % m for x, m in zip(chi.e, g.orders)))
@@ -289,10 +277,6 @@ def char_conj(chi: DirichletCharacter) -> DirichletCharacter:
 def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     g = char_group(chi.q)
     return DirichletCharacter(chi.q, tuple((x * k) % m for x, m in zip(chi.e, g.orders)))
-
-
-def is_principal(chi: DirichletCharacter) -> bool:
-    return all(x == 0 for x in chi.e)
 
 
 def char_order_and_conductor(chi: DirichletCharacter) -> tuple[int, int]:
@@ -369,18 +353,6 @@ def quadratic_gauss_bound_check(l: int, a: int, k: int) -> tuple[float, float]:
 def count_cube_roots(q: int, chi1: DirichletCharacter) -> int:
     """#{chi mod q : conj(chi)^3 = chi1}, by exhaustive enumeration."""
     return sum(char_power(char_conj(chi), 3) == chi1 for chi in enumerate_characters(q))
-
-
-def count_cube_roots_structural(q: int, chi1: DirichletCharacter) -> int:
-    """Same count via the per-component congruence -3x = e1 (mod m)."""
-    g = char_group(q)
-    total = 1
-    for t, m in zip(chi1.e, g.orders):
-        d = math.gcd(3, m)
-        if t % d:
-            return 0
-        total *= d
-    return total
 
 
 def _odd_component_cubic_conductor(p: int, k: int) -> int:

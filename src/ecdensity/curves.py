@@ -10,10 +10,11 @@ conductor_log_batch evaluates the same heuristic over a product grid of a
 and b values with no full-grid pass per prime or per valuation step.  The
 minimization reads floor(v_p(a)/4) and floor(v_p(b)/6) off the two axes.  The
 odd part is a residue sieve: p >= 5 divides 4a^3 + 27b^2 exactly when
--4a^3 = 27b^2 (mod p), so each chunk of consecutive primes runs as one stacked
-join of the a-axis keys against the sorted b-axis keys, O(na + nb) key work
-per prime plus O(hits) instead of O(na * nb), and np.add.at adds f_p log p in
-ascending prime order, so every sum rounds as one prime at a time would.  The
+-4a^3 = 27b^2 (mod p), so each chunk of consecutive primes, cut by
+arith.runs under _CHUNK_HITS, runs as one stacked join of the a-axis keys
+against the sorted b-axis keys, O(na + nb) key work per prime plus O(hits)
+instead of O(na * nb), and np.add.at adds f_p log p in ascending prime
+order, so every sum rounds as one prime at a time would.  The
 sieve stops at the integer cube root of the largest 2- and 3-free remainder,
 where each leftover is 1, q, q^2 or q*r and reads off exactly
 (conductor_log_batch says why).  A report's term_counts["conductor_primes"]
@@ -27,17 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, icbrt, sieve_primes
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    a: int
-    b: int
-
-    @property
-    def disc(self) -> int:
-        return -16 * (4 * self.a**3 + 27 * self.b**2)
+from .arith import factorize, icbrt, runs, sieve_primes
 
 
 def minimal_short_model(a: int, b: int) -> tuple[int, int, int]:
@@ -189,18 +180,6 @@ def _axis_exponent(x: np.ndarray, p: int, k: int) -> np.ndarray:
 _CHUNK_HITS = 1 << 14
 
 
-def _prime_chunks(primes: list[int], n: int) -> list[list[int]]:
-    chunks: list[list[int]] = []
-    hits = _CHUNK_HITS
-    for p in primes:
-        if hits + 2 * n / p > _CHUNK_HITS:
-            chunks.append([])
-            hits = 0.0
-        chunks[-1].append(p)
-        hits += 2 * n / p
-    return chunks
-
-
 def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
                         stats: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log n, log n_lo, log n_hi) over the grid na x nb of curves, vectorized.
@@ -279,7 +258,8 @@ def conductor_log_batch(na: np.ndarray, nb: np.ndarray,
     div = np.ones_like(rem)  # the sieved p-parts of each cell
     primes = [p for p in sieve_primes(root) if p >= 5]
     hits = 0
-    for chunk in _prime_chunks(primes, rem.size):
+    for run in runs([2 * rem.size / p for p in primes], _CHUNK_HITS):
+        chunk = primes[run.start:run.stop]
         k, m = len(chunk), chunk[-1] + 1
         ps = np.array(chunk, dtype=np.int64)[:, None]
         off = np.arange(k, dtype=np.int64)[:, None] * m  # slot s keys s * m + residue

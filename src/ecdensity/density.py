@@ -15,8 +15,9 @@ where W is the total weight, C(X) the weighted mean of log N / log X, and
 P1 has two routes.  The direct route contracts, per prime, the lambda block
 over the residues the (a, b) lattice hits against their weight sums,
 u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.
-_lattice_blocks builds the blocks of a chunk of _P1_CHUNK primes by one
-frobenius.sieved_blocks call, which runs the residue-row FFTs of
+Both routes cut their prime list into groups of _P1_GROUP consecutive
+primes with arith.runs.  _lattice_blocks builds the blocks of a direct
+chunk by one frobenius.sieved_blocks call, which runs the residue-row FFTs of
 consecutive primes sharing a transform length as one stacked transform
 (term_counts["p1_row_stacks"] counts them) over one stacked context of
 discrete-log tables (characters.dlog_tables) per run; when cache_dir is
@@ -42,15 +43,16 @@ primes.  _dual_groups finds the kept cells with h >= 0 and k > 0 of every
 prime in the group (all poisson_term_count needs) as stacked arrays: one
 weight-transform call per axis, one kept-column mask, one stable sort of
 |vb| that orders the columns and serves the row cuts, and the cuts of every
-prime by the exact product test of _row_cuts.  _dual_group_sums takes the
+prime by the exact product test.  _dual_group_sums takes the
 discrete logs of the group from one characters.dlog_tables context and the
 column coefficients, phase offsets and row order as stacked gathers, and
 per prime builds only its phase table and the staircase of row blocks; each
 built cell, with one real coefficient per column, also serves -h and -k, so
 the p1_cells count of built cells is about a quarter to a third of p1_terms
-and every prime's term is real to the bit (p1_imag_leak is 0.0).  On a
-2-core host with one BLAS thread P1 takes about 0.16 s at X = 1e5 and
-2.0 s at 1e6.
+and every prime's sum is real by construction (p1_imag_leak is 0.0).  On a
+shared 2-core host with one BLAS thread P1 takes 0.15-0.17 s at X = 1e5
+and 1.6-2.3 s at 1e6 (medians of 15 to 31 and of 5 in-process calls, in a
+quiet and in a busier hour).
 
 Both routes and P2 read their primes and weights
 w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
@@ -71,7 +73,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
-from .arith import cube_kernel, divisors, legendre, psi4, sieve_primes
+from .arith import cube_kernel, divisors, legendre, psi4, runs, sieve_primes
 from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
                          roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_batch
@@ -79,15 +81,15 @@ from .frobenius import TABLE_CAP, get_table, lambda_p, lambda_p2, sieved_blocks
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
-_P1_CHUNK = 16
 # The dual staircase is contracted in one row block per _P1_BLOCK_CELLS kept
 # cells, at most _P1_BLOCKS; a block costs about 12 us besides its cells, and
 # on a 2-core host the block loop took 28 against 38 ms at X = 1e4 with 8
 # blocks at every prime (196 against 208 ms at 1e5, level at 1e6).
-# _P1_GROUP consecutive primes share one axis_progressions call per axis:
-# the transform stage at 1e5 read 57, 31, 27, 27, 29 and 37 ms in groups of
-# 1, 4, 8, 16, 32 and 64 primes, and 0.24 against 0.31 s at 1e6 in groups of
-# 16 against 8.
+# Both P1 routes batch _P1_GROUP consecutive primes (arith.runs): a direct
+# chunk is one sieved_blocks call and one pool task, and a dual group shares
+# one axis_progressions call per axis, whose stage at 1e5 read 57, 31, 27,
+# 27, 29 and 37 ms in groups of 1, 4, 8, 16, 32 and 64 primes, and 0.24
+# against 0.31 s at 1e6 in groups of 16 against 8.
 _P1_BLOCKS = 8
 _P1_BLOCK_CELLS = 8000
 _P1_GROUP = 16
@@ -105,15 +107,19 @@ _P1_POOL_WORK = 150_000
 
 @dataclass
 class FamilySpec:
-    """Family parameters: size X, support parameter nu, test pair, weight."""
+    """Family parameters: size X, test pair, weight; the support parameter
+    nu is the test pair's, so the two cannot disagree."""
 
     x: float
-    nu: Fraction
     phi: TestFunctionPair
     weight: SmoothWeight
     tail_tol: float = DEFAULT_TAIL_TOL
     threads: int = 1
     cache_dir: str | None = None
+
+    @property
+    def nu(self) -> Fraction:
+        return self.phi.nu
 
     @property
     def a_scale(self) -> float:
@@ -130,8 +136,7 @@ class FamilySpec:
 
 def family(x: float, nu: Fraction | str | float = Fraction(7, 10),
            box: tuple = DEFAULT_BOX, **kw) -> FamilySpec:
-    nu = Fraction(nu)
-    return FamilySpec(x=float(x), nu=nu, phi=fejer_pair(nu), weight=SmoothWeight(box), **kw)
+    return FamilySpec(x=float(x), phi=fejer_pair(Fraction(nu)), weight=SmoothWeight(box), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,7 @@ def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]], w2: dict[int
 
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
-    """P1 by residue-block contraction per prime, in chunks of _P1_CHUNK
+    """P1 by residue-block contraction per prime, in chunks of _P1_GROUP
     primes, across a process pool when threads > 1 and the work is large.
     The same pass contracts the blocks of the P2 primes (all among the P1
     primes) for P2, which goes to stats["p2"] with the seconds of its
@@ -257,7 +262,7 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     if not w2.keys() <= set(primes):
         raise RuntimeError("a P2 prime is not a P1 prime")
     pairs = list(zip(primes, weights))
-    chunks = [pairs[i : i + _P1_CHUNK] for i in range(0, len(pairs), _P1_CHUNK)]
+    chunks = [pairs[r.start:r.stop] for r in runs([1] * len(pairs), _P1_GROUP)]
     w2s = [{p: w2[p] for p, _ in c if p in w2} for c in chunks]
     pooled = f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK
     if pooled:
@@ -295,20 +300,6 @@ def cached_primes(f: FamilySpec) -> list[int]:
 # P1, dual (Poisson) route
 
 
-def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> np.ndarray:
-    """Per h-row, the count of k with |va| |vb| >= tol: searchsorted, then
-    steps by the exact product.  The test is monotone in |vb|, so a row keeps
-    exactly its first count columns in descending |vb| order."""
-    order = np.sort(absb)
-    n = order.size
-    idx = np.searchsorted(order, tol / np.maximum(absa, 1e-300))
-    while (down := (idx > 0) & (absa * order[idx - 1] >= tol)).any():
-        idx -= down
-    while (up := (idx < n) & (absa * order[np.minimum(idx, n - 1)] < tol)).any():
-        idx += up
-    return n - idx
-
-
 def _dual_radii(f: FamilySpec) -> tuple[float, float]:
     """(r0, r1), the radius of each axis at tail_tol over the other's mass;
     neither depends on p, so a prime loop computes them once."""
@@ -339,9 +330,10 @@ class _DualGroup(NamedTuple):
 
 
 def _group_cuts(absa: np.ndarray, desc: np.ndarray, tol: float) -> np.ndarray:
-    """_row_cuts for a stack of primes at once: absa holds each prime's |va|,
-    zero past its window, and desc its |vb| in descending order.  A
-    searchsorted guess per prime, then steps by the exact product over the
+    """Per h-row of each prime in a stack, the count of k with |va| |vb| >=
+    tol: absa holds each prime's |va|, zero past its window, and desc its
+    |vb| in descending order, so a row keeps exactly its first count columns.
+    A searchsorted guess per prime, then steps by the exact product over the
     whole stack."""
     n = desc.shape[1]
     if n == 0:
@@ -384,13 +376,14 @@ def _dual_group(f: FamilySpec, group: list[int], radii: tuple[float, float],
 def _dual_groups(f: FamilySpec, primes: list[int], radii: tuple[float, float],
                  stats: dict | None = None) -> Iterator[_DualGroup]:
     """_dual_group of each run of _P1_GROUP consecutive primes in turn."""
-    for g in range(0, len(primes), _P1_GROUP):
-        yield _dual_group(f, primes[g:g + _P1_GROUP], radii, stats)
+    for r in runs([1] * len(primes), _P1_GROUP):
+        yield _dual_group(f, primes[r.start:r.stop], radii, stats)
 
 
-def _dual_group_sums(grp: _DualGroup) -> list[tuple[complex, int]]:
-    """(S_p, phase cells built) at each prime of the group: the dual (h, k)
-    sum over the kept cells.
+def _dual_group_sums(grp: _DualGroup) -> list[tuple[float, int]]:
+    """(s_p, phase cells built) at each prime of the group: the dual (h, k)
+    sum S_p over the kept cells, which is s_p when p = 1 (mod 4) and i s_p
+    when p = 3 (mod 4).
 
     The block folds over both signs.  va(-h) = conj va(h) and vb(-k) =
     conj vb(k) exactly, so the four cells (+-h, +-k) keep or drop together;
@@ -443,7 +436,7 @@ def _dual_group_sums(grp: _DualGroup) -> list[tuple[complex, int]]:
             np.copyto(phase[:, low:], 3 * (p - 1), where=np.arange(low, width) >= c[lo:hi, None])
             s_p += float((u[i, lo:hi] @ (omega.take(phase) @ coeff[i, :width])).real)
             cells += phase.size
-        out.append((complex(0.0, s_p) if p % 4 == 3 else complex(s_p), cells))
+        out.append((s_p, cells))
     return out
 
 
@@ -453,7 +446,7 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
     phihat(log p/log X) (2 log p/p^{3/2}) rather than w_1(p) log X/sqrt(p),
     equal in exact arithmetic but not to the last bit."""
     lx = f.log_x
-    re, im = [], []
+    vals = []
     terms = cells = 0
     window_s = sum_s = 0.0
     primes = _prime_weights(f, 1)[0]
@@ -469,21 +462,22 @@ def p1_poisson(f: FamilySpec, stats: dict | None = None) -> float:
             terms += kept
             cells += c
             w1 = float(f.phi.phihat(math.log(p) / lx))
-            psi = 1.0 + 0.0j if p % 4 == 1 else 1.0j  # psi4(p), p sieved
-            v = psi * (2.0 * math.log(p) / p**1.5) * w1 * s_p
-            re.append(v.real)
-            im.append(v.imag)
+            v = (2.0 * math.log(p) / p**1.5) * w1 * s_p
+            # psi4(p) S_p is s_p at p = 1 (mod 4) and i * i s_p = -s_p at 3
+            vals.append(v if p % 4 == 1 else -v)
         del grp  # free the group's arrays before the next group's transforms
         t0 = time.perf_counter()
-    total = -(f.a_scale * f.b_scale / lx) * complex(math.fsum(re), math.fsum(im))
+    total = -(f.a_scale * f.b_scale / lx) * math.fsum(vals)
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = terms
         stats["cells"] = cells
         stats["points"] = counts["points"]
-        stats["imag_leak"] = abs(total.imag)
+        # every term is real by construction, so no imaginary part can leak;
+        # a NaN s_p still shows, since it makes P1 itself NaN
+        stats["imag_leak"] = 0.0
         stats["transform_s"], stats["contract_s"] = window_s, sum_s
-    return total.real
+    return total
 
 
 def poisson_term_count(f: FamilySpec) -> int:

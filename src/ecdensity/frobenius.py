@@ -14,8 +14,9 @@ row 0 only when some alpha = 0 (mod p) is asked for, and every other row by
 the quadratic twist lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta)
 (Silverman, AEC III.1) as one integer gather, so a full table costs three
 correlations plus O(p^2).  Consecutive primes that share one FFT length
-form a run, and each run is handled as one stack, which saves the per-call
-overhead that dominates below p of a few thousand: one stacked context of
+form a run (arith.runs cuts them under _STACK_SAMPLES), and each run is
+handled as one stack, which saves the per-call overhead that dominates
+below p of a few thousand: one stacked context of
 discrete-log tables (characters.dlog_tables) supplies everything mod p the
 rows need (the Legendre sequence, the twist d and its (d/p), and d^-3); the
 value counts of every base row come from one offset bincount; one rfft of
@@ -37,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import is_prime, legendre, mod_inverse, psi4
+from .arith import is_prime, legendre, mod_inverse, psi4, runs
 from .characters import dlog_tables
 
 TABLE_MAGIC = b"FRBT"
@@ -112,21 +113,6 @@ def _fft_len(p: int) -> int:
     return 1 << (2 * p - 1).bit_length()
 
 
-def _row_runs(ps: list[int], nrows: list[int], cap: int) -> Iterator[range]:
-    """Split ps into runs of consecutive primes with one FFT length n whose
-    stacked samples, (1 + nrows[i]) n per prime (its Legendre row and its
-    count rows), stay within cap; a prime that alone exceeds cap is a run."""
-    start = used = 0
-    for i, p in enumerate(ps):
-        need = (1 + nrows[i]) * _fft_len(p)
-        if i > start and (_fft_len(p) != _fft_len(ps[start]) or used + need > cap):
-            yield range(start, i)
-            start, used = i, 0
-        used += need
-    if ps:
-        yield range(start, len(ps))
-
-
 def _base_rows(ps: list[int], nrows: list[int]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """(pw, dl, base, first) for a run of primes sharing one FFT length n:
@@ -169,7 +155,8 @@ def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
     a = [np.asarray(al, dtype=np.int64) % p for al, p in zip(alphas, ps)]
     b = [np.asarray(be, dtype=np.int64) % p for be, p in zip(betas, ps)]
     nrows = [3 if (ai == 0).any() else 2 for ai in a]
-    for run in _row_runs(ps, nrows, _STACK_SAMPLES):
+    n = [_fft_len(p) for p in ps]  # a prime stacks a Legendre row and nrows count rows
+    for run in runs([(1 + k) * m for k, m in zip(nrows, n)], _STACK_SAMPLES, n):
         if stats is not None:
             stats["row_stacks"] = stats.get("row_stacks", 0) + 1
         pw, dl, base, first = _base_rows([ps[i] for i in run], [nrows[i] for i in run])

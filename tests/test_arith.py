@@ -15,6 +15,7 @@ from ecdensity.arith import (
     legendre,
     mod_inverse,
     psi4,
+    runs,
     sieve_primes,
     smallest_factor_table,
 )
@@ -194,3 +195,52 @@ def test_d_triple_rejects_nonpositive():
     for bad in (0, -4):
         with pytest.raises(ValueError):
             d_triple(bad)
+
+
+# -- runs of consecutive indices --------------------------------------------
+
+def test_runs_close_at_a_key_change():
+    assert [list(r) for r in runs([1, 1, 1, 1, 1], 10, [4, 4, 8, 8, 4])] == [[0, 1], [2, 3], [4]]
+
+
+def test_runs_close_before_the_index_that_passes_the_budget():
+    # 3 + 4 = 7 fits a budget of 7 exactly; adding 1 would pass it
+    assert [list(r) for r in runs([3, 4, 1, 2, 5], 7)] == [[0, 1], [2, 3], [4]]
+    assert [list(r) for r in runs([1] * 35, 16)] == [list(range(0, 16)), list(range(16, 32)),
+                                                    list(range(32, 35))]
+
+
+def test_runs_put_an_index_alone_over_budget_in_a_run_of_its_own():
+    assert [list(r) for r in runs([2, 9, 1, 12, 3], 5)] == [[0], [1], [2], [3], [4]]
+    assert [list(r) for r in runs([9], 5)] == [[0]]
+
+
+def test_runs_of_nothing():
+    assert list(runs([], 5)) == []
+    assert list(runs([], 5, [])) == []
+
+
+def _chunks_by_hits(primes, n, budget):
+    """The conductor sieve's old chunk rule, as an independent oracle: a
+    chunk closes before the prime whose 2n/p would take its float total of
+    hits past budget."""
+    chunks, hits = [], budget
+    for p in primes:
+        if hits + 2 * n / p > budget:
+            chunks.append([])
+            hits = 0.0
+        chunks[-1].append(p)
+        hits += 2 * n / p
+    return chunks
+
+
+def test_runs_add_float_costs_in_index_order():
+    # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 when added in order,
+    # although the exact sum of the three doubles rounds to 0.6
+    assert math.fsum([0.1, 0.2, 0.3]) == 0.6
+    assert [list(r) for r in runs([0.1, 0.2, 0.3], 0.6)] == [[0, 1], [2]]
+    primes = [p for p in sieve_primes(20_000) if p >= 5]
+    for n in (1, 170_748, 10**7):
+        for budget in (1 << 10, 1 << 14):
+            got = [primes[r.start:r.stop] for r in runs([2 * n / p for p in primes], budget)]
+            assert got == _chunks_by_hits(primes, n, budget)

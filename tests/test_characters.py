@@ -8,21 +8,19 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ecdensity.arith import factorize, is_prime, jacobi
-from ecdensity.density import _P1_CHUNK, _prime_weights, family
+from ecdensity.arith import factorize, is_prime, jacobi, runs
+from ecdensity.density import _P1_GROUP, _prime_weights, family
 from ecdensity.characters import (
     CharGroup,
     _primitive_root,
     char_conj,
     char_eval,
     char_group,
-    char_mul,
     char_order_and_conductor,
     char_power,
     character_table,
     conductor,
     count_cube_roots,
-    count_cube_roots_structural,
     cubic_characters,
     cubic_structure_report,
     dlog_table,
@@ -31,13 +29,12 @@ from ecdensity.characters import (
     gauss_sum,
     gauss_sum_matrix,
     is_primitive,
-    is_principal,
-    principal_character,
     quadratic_gauss_bound_check,
     real_characters,
     roots_of_unity,
     unit_group_basis,
 )
+from helpers import char_mul, count_cube_roots_structural, is_principal, principal_character
 
 SMALL_Q = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 35, 36, 40, 63, 72, 100]
 
@@ -75,10 +72,10 @@ def test_dlog_table_is_a_power_permutation(rng):
 ])
 def test_dlog_tables_match_dlog_table(ps):
     # each padded row of the stacked context, cut to p, is the one-prime
-    # table; family(1e4)'s P1 primes go in the direct route's chunks of 16
+    # table; family(1e4)'s P1 primes go in the P1 routes' groups of 16
     if ps is None:
         primes = _prime_weights(family(1e4), 1)[0]
-        groups = [primes[i:i + _P1_CHUNK] for i in range(0, len(primes), _P1_CHUNK)]
+        groups = [primes[r.start:r.stop] for r in runs([1] * len(primes), _P1_GROUP)]
     else:
         groups = [ps]
     for group in groups:

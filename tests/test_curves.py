@@ -11,13 +11,13 @@ from ecdensity import curves
 from ecdensity.arith import factorize, icbrt, sieve_primes
 from ecdensity.curves import (
     ConductorInfo,
-    CurveParams,
     conductor,
     conductor_log_batch,
     minimal_short_model,
     reduction_type,
 )
 from ecdensity.density import _axis_lattice, conductor_term, density_report, family, report_json
+from helpers import CurveParams
 
 
 def test_disc_formula():

@@ -33,7 +33,6 @@ from ecdensity.density import (
     _lattice_blocks,
     _prime_weights,
     _p1_direct_chunk,
-    _row_cuts,
     check_lattice,
     conductor_term,
     density_report,
@@ -61,6 +60,7 @@ from ecdensity.density import (
 )
 from ecdensity.characters import enumerate_characters
 from ecdensity.frobenius import TABLE_CAP, lambda_table
+from helpers import _row_cuts
 
 ZERO_FILE = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
 
@@ -142,6 +142,16 @@ def test_family_scales():
     assert f.b_scale == pytest.approx(math.sqrt(1000.0))
     assert f.log_x == pytest.approx(math.log(1000.0))
     assert f.nu == Fraction(7, 10)
+
+
+def test_family_nu_comes_from_the_test_pair():
+    # nu is read off phi, so a spec cannot carry a nu its test pair lacks
+    f = family(1e3)
+    assert f.nu == f.phi.nu == Fraction(7, 10)
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, nu=Fraction(1, 2))
+    half = family(1e3, nu=Fraction(1, 2))
+    assert half.nu == half.phi.nu == Fraction(1, 2)
 
 
 def test_w_total_matches_brute(fam_250, fam_1e3):
@@ -434,7 +444,12 @@ def test_poisson_term_matches_dense_contraction(x, p, tail_tol):
     want, want_n, want_quarter = _dense_dual_term(f, p)
     assert grp.kept == [want_n] and want_n > 0
     assert cells >= want_quarter  # cells with h < 0 or k < 0 come from h >= 0, k > 0
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want))
+    # S_p is real at p = 1 (mod 4) and imaginary at p = 3 (mod 4); got is
+    # its one nonzero component
+    on, off = (want.imag, want.real) if p % 4 == 3 else (want.real, want.imag)
+    assert got == pytest.approx(on, rel=1e-12, abs=1e-12 * abs(want))
+    assert abs(off) < 1e-12 * abs(want)
+    assert abs(complex(got - on, off)) <= 1e-12 * abs(want)
 
 
 def _oracle_axes(f, p, h, k):

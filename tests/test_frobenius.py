@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecdensity.arith import legendre, psi4, sieve_primes
-from ecdensity import frobenius
+from ecdensity import arith, frobenius
 from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
@@ -167,7 +167,9 @@ def test_lambda_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
     ps = [257, 263, 269, 271]
     alphas, betas = _chunk(rng, ps, [True, False, False, True])
     want = [lambda_rows(p, al, be) for p, al, be in zip(ps, alphas, betas)]
-    assert [list(r) for r in frobenius._row_runs(ps, [3, 2, 2, 3], 7 * 1024)] == [[0, 1], [2, 3]]
+    n = [frobenius._fft_len(p) for p in ps]
+    costs = [(1 + k) * m for k, m in zip([3, 2, 2, 3], n)]
+    assert [list(r) for r in arith.runs(costs, 7 * 1024, n)] == [[0, 1], [2, 3]]
     for cap, runs in ((7 * 1024, 2), (1024, 4), (14 * 1024, 1)):
         monkeypatch.setattr(frobenius, "_STACK_SAMPLES", cap)
         stats: dict = {}
