@@ -113,9 +113,14 @@ def bump(t):
     """exp(-1/(t(1-t))) on (0, 1), 0 elsewhere; vectorized, overflow-safe."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    tt = np.where(inside, t, 0.5)
-    out = np.exp(-1.0 / (tt * (1.0 - tt)))
-    return np.where(inside, out, 0.0)
+    # one array worked in place: on the unit bump's 2^16 profile samples the
+    # temporaries of the plain expression stayed resident in the heap
+    out = np.where(inside, t, 0.5)
+    out *= 1.0 - out
+    np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
+    out[~inside] = 0.0
+    return out
 
 
 def _power_rows(z: np.ndarray, count: int, first) -> np.ndarray:

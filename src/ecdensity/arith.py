@@ -1,9 +1,11 @@
-"""Elementary arithmetic: primes, factorization, symbols, cube/square kernels.
+"""Elementary arithmetic: primes, factorization, symbols, cube/square kernels,
+and the splitters that batch consecutive indices.
 
-Everything here is exact integer arithmetic.  These routines back every other
-module, so they favour clarity and verifiability over raw speed; the bulk
-paths (sieves, smallest-prime-factor tables) are provided for the harnesses
-that sweep ranges up to ~10^6.
+Everything here but pairwise_sum, which recombines float sums bit for bit
+as numpy would add them, is exact integer arithmetic.  These routines back
+every other module, so they favour clarity and verifiability over raw speed;
+the bulk paths (sieves, smallest-prime-factor tables) are provided for the
+harnesses that sweep ranges up to ~10^6.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,48 @@ def runs(costs: Sequence, budget, keys: Sequence | None = None) -> Iterator[rang
         used += cost
     if costs:
         yield range(start, len(costs))
+
+
+# numpy sums a contiguous float array pairwise: a piece of more than _PW_BLOCK
+# terms is split at m = n // 2 - (n // 2) % 8 and its halves' sums are added
+_PW_BLOCK = 128
+
+
+def _pw_split(n: int) -> int:
+    return n // 2 - n // 2 % 8
+
+
+def pairwise_ends(n: int, leaf: int) -> list[int]:
+    """Ends of the pieces of [0, n) that numpy's pairwise summation reaches
+    when it is split down to at most leaf (>= _PW_BLOCK) terms, in order;
+    pairwise_sum recombines np.sum over each piece into np.sum of all n."""
+    if leaf < _PW_BLOCK:
+        raise ValueError(f"leaf must be at least {_PW_BLOCK}")
+    if n <= leaf:
+        return [n]
+    m = _pw_split(n)
+    return pairwise_ends(m, leaf) + [m + e for e in pairwise_ends(n - m, leaf)]
+
+
+def pairwise_sum(n: int, parts: Iterable):
+    """np.sum of n float terms, bit for bit, from sums over pieces of them:
+    parts yields (end, the piece's sum), in order, for pieces that numpy's
+    split of [0, n) reaches (pairwise_ends), and each split adds its halves'
+    sums as numpy adds them.  The sums may be arrays, summed elementwise."""
+    parts = iter(parts)
+
+    def total(lo, hi, part):
+        end, s = part
+        if end == hi:
+            return s, next(parts, None)
+        if hi - lo <= _PW_BLOCK:
+            raise ValueError(f"piece ending at {end} is not one of numpy's pairwise split")
+        m = lo + _pw_split(hi - lo)
+        left, part = total(lo, m, part)
+        right, part = total(m, hi, part)
+        return left + right, part
+
+    return total(0, n, next(parts))[0]
 
 
 def smallest_factor_table(limit: int) -> list[int]:

@@ -73,10 +73,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
-from .arith import cube_kernel, divisors, legendre, psi4, runs, sieve_primes
+from .arith import cube_kernel, divisors, legendre, pairwise_sum, psi4, runs, sieve_primes
 from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
                          roots_of_unity)
-from .curves import ConductorInfo, conductor, conductor_log_batch
+from .curves import ConductorInfo, conductor, conductor_log_tiles
 from .frobenius import TABLE_CAP, get_table, lambda_p, lambda_p2, sieved_blocks
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
@@ -508,19 +508,24 @@ def p2_predicted_over_w(f: FamilySpec) -> float:
 def conductor_term(f: FamilySpec, stats: dict | None = None) -> tuple[float, float, float]:
     """(C, C_lo, C_hi): weighted averages of log N / log X over the family,
     at the heuristic conductor and at both ends of its sensitivity band.
-    stats, when given, receives conductor_log_batch's "primes" and "hits"
-    counts."""
+    The weighted sums run over conductor_log_tiles' tiles and recombine by
+    arith.pairwise_sum, so each equals np.sum over the whole grid bit for bit
+    while no weight or log array spans the grid.  stats, when given,
+    receives the sieve's "primes" and "hits" counts (conductor_log_batch)."""
     na, wa = _axis_lattice(f, 0)
     nb, wb = _axis_lattice(f, 1)
-    wv = np.outer(wa, wb).ravel()
-    log_n, log_lo, log_hi = conductor_log_batch(na, nb, stats)
-    w = float(wv.sum())
+
+    def tile_sums():
+        lo = 0
+        for hi, logs in conductor_log_tiles(na, nb, stats):
+            i = lo // nb.size  # the tile's weights, cut from its rows of the outer product
+            wv = np.outer(wa[i:-(-hi // nb.size)], wb).ravel()[lo - i * nb.size:hi - i * nb.size]
+            yield hi, np.array([wv.sum()] + [(wv * x).sum() for x in logs])
+            lo = hi
+
+    w, s_n, s_lo, s_hi = pairwise_sum(na.size * nb.size, tile_sums()).tolist()
     lx = f.log_x
-    return (
-        float((wv * log_n).sum()) / (w * lx),
-        float((wv * log_lo).sum()) / (w * lx),
-        float((wv * log_hi).sum()) / (w * lx),
-    )
+    return s_n / (w * lx), s_lo / (w * lx), s_hi / (w * lx)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,11 @@ TABLE_CAP = 1000  # the largest p read through the disk cache; auto routing's cu
 # runs of one prime against 27, 26 and 25 ms at caps of 2^14, 2^15 and 2^16
 # (medians of 60), and at 1e5 282 ms against 242 and 230 ms at 2^15 and 2^16
 # (medians of 21), within the host's noise of each other.  At family(1e7)
-# the traced peak (tracemalloc) of P2 is 1.26 MiB in runs of one prime, 1.46
-# at 2^15 and 1.81 at 2^16; the process's peak RSS there, 45.2-45.4 MiB at
-# all three, is set by the conductor average.  Under 2^15, primes above
-# 2,048 are runs of one.
+# the traced peak (tracemalloc) of P2 is 1.28 MiB in runs of one prime, 1.49
+# at 2^15 and 1.85 at 2^16; a fresh process running W, P2 and the conductor
+# average there peaks at 40.3-40.5 MiB RSS under all three, the peak that
+# building family(1e7) reaches before any of them runs.  Under 2^15, primes
+# above 2,048 are runs of one.
 _STACK_SAMPLES = 1 << 15
 
 def _check_p(p: int) -> None:
@@ -162,6 +163,10 @@ def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
         pw, dl, base, first = _base_rows([ps[i] for i in run], [nrows[i] for i in run])
         # the row c = 1 of each prime, after its row c = 0 when it has one
         one = np.array([f + nrows[i] - 2 for f, i in zip(first, run)])
+        # the base rows then their negatives, read by flat index: row r of
+        # signed is -base[r - len(base)] past len(base)
+        signed = np.concatenate((base, -base)).ravel()
+        w = base.shape[1]
         # one twist gather per stretch of the run whose blocks share a shape
         for _, same in groupby(enumerate(run), key=lambda e: (a[e[1]].size, b[e[1]].size)):
             js, idx = zip(*same)
@@ -177,8 +182,8 @@ def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
             step = pw[j, -3 * half % (q - 1)].astype(dt)
             be = np.array([b[i] for i in idx], dtype=dt)
             cols = be[:, None, :] * step[:, :, None] % q.astype(dt)[:, :, None]
-            sign = np.where(half & 1, -1, 1).astype(np.int16)
-            yield from base[row[:, :, None], cols] * sign[:, :, None]
+            row += np.where(half & 1, len(base), 0)  # (d/p) = -1 reads the negated row
+            yield from signed.take(cols + (row * w)[:, :, None])
 
 
 def lambda_blocks(ps, alphas, betas, stats: dict | None = None) -> Iterator[np.ndarray]:

@@ -34,6 +34,18 @@ def test_bump_values():
     assert bump(ts).max() <= bump(0.5)
 
 
+def test_bump_matches_the_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(2)
+    ts = np.concatenate([rng.uniform(-0.5, 1.5, 4096), (np.arange(4096) + 0.5) / 4096,
+                         [0.0, 1.0, -0.0, np.nan, np.inf, 1e-300, 1.0 - 1e-16]])
+    inside = (ts > 0.0) & (ts < 1.0)
+    tt = np.where(inside, ts, 0.5)
+    want = np.where(inside, np.exp(-1.0 / (tt * (1.0 - tt))), 0.0)
+    assert bump(ts).tobytes() == want.tobytes()
+    assert bump(ts[:8192].reshape(64, -1)).tobytes() == want[:8192].tobytes()
+    assert np.array([bump(float(t)) for t in ts[-64:]]).tobytes() == want[-64:].tobytes()
+
+
 def test_bump_vectorized_no_overflow():
     ts = np.array([-1e6, 0.0, 1e-12, 0.5, 1.0 - 1e-12, 2.0, 1e9])
     out = bump(ts)

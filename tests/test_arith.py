@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ecdensity.arith import (
@@ -14,6 +15,8 @@ from ecdensity.arith import (
     jacobi,
     legendre,
     mod_inverse,
+    pairwise_ends,
+    pairwise_sum,
     psi4,
     runs,
     sieve_primes,
@@ -244,3 +247,41 @@ def test_runs_add_float_costs_in_index_order():
         for budget in (1 << 10, 1 << 14):
             got = [primes[r.start:r.stop] for r in runs([2 * n / p for p in primes], budget)]
             assert got == _chunks_by_hits(primes, n, budget)
+
+
+# -- numpy's pairwise split -----------------------------------------------
+
+def _pieces_sum(x, leaf):
+    ends = pairwise_ends(x.size, leaf)
+    return pairwise_sum(x.size, ((e, x[lo:e].sum()) for lo, e in zip([0] + ends[:-1], ends)))
+
+
+def test_pairwise_pieces_recombine_into_np_sum():
+    rng = np.random.default_rng(3)
+    for n in range(1, 2049):
+        x = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+        assert _pieces_sum(x, 128) == x.sum()
+
+
+def test_pairwise_pieces_recombine_at_the_lattice_sizes():
+    from ecdensity.curves import _CHUNK_HITS
+    from ecdensity.density import _axis_lattice, family
+
+    rng = np.random.default_rng(4)
+    for x in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        f = family(x)
+        n = _axis_lattice(f, 0)[0].size * _axis_lattice(f, 1)[0].size
+        v = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+        assert _pieces_sum(v, 128) == _pieces_sum(v, _CHUNK_HITS) == v.sum()
+
+
+def test_pairwise_pieces_are_nodes_of_the_split():
+    assert pairwise_ends(0, 128) == [0]
+    # 300 splits at 150 - 150 % 8 = 144, and 144 and 156 split at 72
+    assert pairwise_ends(300, 128) == [72, 144, 216, 300]
+    assert pairwise_ends(300, 156) == [144, 300]
+    assert pairwise_sum(300, iter([(144, 1.0), (300, 2.0)])) == 3.0
+    with pytest.raises(ValueError):
+        pairwise_ends(10, 127)
+    with pytest.raises(ValueError, match="ending at 150"):
+        pairwise_sum(300, iter([(150, 1.0), (300, 1.0)]))

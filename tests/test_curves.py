@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -318,6 +319,73 @@ def test_conductor_term_reprs_pinned():
         "1.3754970806686186", "1.0096260071468175", "1.5434512929241777"]
     assert [repr(v) for v in conductor_term(family(1e7))] == [
         "1.321665720744381", "1.0080079447977932", "1.4656313759694575"]
+
+
+def _full_array_term(f):
+    """conductor_term's three averages from whole-grid arrays, summed at once."""
+    na, wa = _axis_lattice(f, 0)
+    nb, wb = _axis_lattice(f, 1)
+    wv = np.outer(wa, wb).ravel()
+    w = float(wv.sum())
+    return tuple(float((wv * x).sum()) / (w * f.log_x) for x in conductor_log_batch(na, nb))
+
+
+@pytest.mark.parametrize("x, box", [
+    (1e3, None), (1e4, None), (1e5, None), (1e6, None),
+    (round(1e5 * math.exp(0.004)), None), (round(1e6 * math.exp(-0.007)), None),
+    (1e5, (0.1, 0.9, 0.2, 1.3)), (1e6, (-0.9, 0.8, 0.3, 1.0))])
+def test_conductor_term_matches_full_array_sums(x, box):
+    f = family(x) if box is None else family(x, box=box)
+    assert [repr(v) for v in conductor_term(f)] == [repr(v) for v in _full_array_term(f)]
+
+
+def test_tiles_and_joins_leave_every_number_unchanged(monkeypatch):
+    # the smallest budget cuts family(1e4) into 7 tiles, many joins and row
+    # blocks; every array and average must read as at the default budget
+    na, nb = _axis_lattice(family(1e4), 0)[0], _axis_lattice(family(1e4), 1)[0]
+    want, want_stats = conductor_log_batch(na, nb), {}
+    conductor_log_batch(na, nb, want_stats)
+    terms = [conductor_term(family(x)) for x in (1e3, 1e4)]
+    monkeypatch.setattr(curves, "_CHUNK_HITS", 128)
+    stats = {}
+    got = conductor_log_batch(na, nb, stats)
+    assert len(list(curves.conductor_log_tiles(na, nb))) == 7
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want] and stats == want_stats
+    assert [conductor_term(family(x)) for x in (1e3, 1e4)] == terms
+    assert [repr(v) for v in conductor_term(family(1e4))] == [
+        repr(v) for v in _full_array_term(family(1e4))]
+
+
+def test_conductor_term_working_set_stays_small():
+    # only the sieve's arrays span the grid: each cell's remainder (int32
+    # here), sieved log, v2 and v3 (int8) and minimal a (int16), 3.2 MiB
+    # traced at family(1e7) against 10.3 MiB with whole-grid int64 steps
+    f = family(1e7)
+    tracemalloc.start()
+    try:
+        conductor_term(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_batch_joins_thousands_of_primes_at_once():
+    # coefficients near 1e7 put the sieve bound near 3.2e5, so one join holds
+    # thousands of primes, keyed by slot * (max p + 1) + residue; the cell
+    # (200000, 10^7) is minimized by u = 10 (5^4 | a, 5^6 | b), so the hits
+    # are filtered, and most leftovers are a prime or two above the bound
+    na, nb = [200_000, -199_999, 123_457], [10**7, 9_999_991, -10_000_019]
+    rems, root = _odd_rems(na, nb)
+    primes = [p for p in sieve_primes(root) if p >= 5]
+    a_side, b_side = -4 * np.array(na) ** 3, 27 * np.array(nb) ** 2
+    assert max(len(chunk) for chunk, *_ in curves._odd_joins(primes, a_side, b_side)) > 1000
+    stats = {}
+    conductor_log_batch(np.array(na), np.array(nb), stats)
+    assert stats == {"primes": len(primes),
+                     "hits": sum(1 for r in rems for p in primes if r % p == 0)}
+    assert conductor(200_000, 10**7).u == 10
+    _assert_grid_matches_scalar(na, nb)
 
 
 def test_batch_rejects_singular_and_shape_mismatch():
