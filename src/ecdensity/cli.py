@@ -1,5 +1,5 @@
-"""Command-line front end: density sweeps, verification suites, cache
-management, and the single-curve zero-list crosscheck.
+"""Command-line front end: density sweeps, verification suites, and the
+single-curve zero-list crosscheck.
 
 Data goes to files (or stdout when no --out prefix is given); diagnostics go
 to stderr.  Exit codes: 0 success, 1 contract or test failure, 2 argument or
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -20,11 +19,11 @@ from pathlib import Path
 
 from .analysis import DEFAULT_BOX
 from .checks import IDENTITY_CHECKS
+from .curves import conductor
 from .density import (
     DEFAULT_TAIL_TOL,
     ZeroFileError,
     ZeroListTooShort,
-    cached_primes,
     check_lattice,
     density_report,
     explicit_formula_crosscheck,
@@ -33,12 +32,6 @@ from .density import (
     parse_zero_file,
     report_json,
     sweep_csv,
-)
-from .frobenius import (
-    TableFormatError,
-    cache_dir,
-    get_table,
-    load_table,
 )
 from .harness import (
     dirichlet_meanvalue_suite,
@@ -68,7 +61,6 @@ class RunConfig:
     nu: Fraction = Fraction(7, 10)
     box: tuple[float, float, float, float] = DEFAULT_BOX
     method: str = "auto"
-    cache_dir: str | None = None
     seed: int = DEFAULT_SEED
     out: str | None = None
     threads: int = 1
@@ -98,6 +90,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if not (0 < cfg.tail_tol < 1):
         raise ConfigError("tail_tol must be in (0, 1)")
     return cfg
@@ -127,7 +121,6 @@ _SETTINGS = {
     "seed": (int, str, {}),
     "threads": (int, str, {}),
     "tail_tol": (float, repr, {}),
-    "cache_dir": (str, str, {}),
     "out": (str, str, {"metavar": "PREFIX", "help": "output file prefix"}),
 }
 
@@ -197,8 +190,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _spec_for(cfg: RunConfig, x: float):
-    return family(x, cfg.nu, cfg.box, tail_tol=cfg.tail_tol,
-                  threads=cfg.threads, cache_dir=cfg.cache_dir)
+    return family(x, cfg.nu, cfg.box, tail_tol=cfg.tail_tol, threads=cfg.threads)
 
 
 def _check_lattices(cfg: RunConfig) -> None:
@@ -311,55 +303,6 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-
-def _load_entry(path: Path):
-    """load_table for a cache entry, checking the prime its name promises;
-    a name that is not frob_p<p>.frbt counts as corrupt."""
-    m = re.fullmatch(r"frob_p([1-9][0-9]*)\.frbt", path.name)
-    if m is None:
-        raise TableFormatError(f"{path}: name does not follow frob_p<p>.frbt")
-    return load_table(path, int(m.group(1)))
-
-
-def cmd_cache(cfg: RunConfig, action: str) -> int:
-    base = Path(cfg.cache_dir) if cfg.cache_dir else cache_dir()
-    if action == "build":
-        base.mkdir(parents=True, exist_ok=True)
-        ps = cached_primes(_spec_for(cfg, cfg.x[-1]))
-        for p in ps:
-            get_table(p, base)
-        _diag(f"{len(ps)} tables present in {base}")
-        return 0
-    entries = sorted(base.glob("*.frbt")) if base.is_dir() else []
-    if action == "stat":
-        total = 0
-        for path in entries:
-            try:
-                tab = _load_entry(path)
-                size = path.stat().st_size
-                total += size
-                _diag(f"p={tab.p} {size} bytes {path.name}")
-            except (TableFormatError, OSError) as exc:
-                _diag(f"corrupt {path.name}: {exc}")
-        _diag(f"{len(entries)} entries, {total} bytes in {base}")
-        return 0
-    if action == "gc":
-        removed = 0
-        for path in entries:
-            try:
-                _load_entry(path)
-            except (TableFormatError, OSError) as exc:
-                _diag(f"removing {path.name}: {exc}")
-                path.unlink(missing_ok=True)
-                removed += 1
-        _diag(f"removed {removed} corrupt entries from {base}")
-        return 0
-    raise ValueError(f"unknown cache action {action!r}")
-
-
-# ---------------------------------------------------------------------------
 # crosscheck
 
 
@@ -371,6 +314,11 @@ def cmd_crosscheck(cfg: RunConfig, zero_file: str, a: int, b: int) -> int:
         return 2
     except ZeroFileError as exc:
         _diag(f"malformed zero file: {exc}")
+        return 2
+    try:
+        conductor(a, b)
+    except ValueError as exc:
+        _diag(f"bad curve: {exc}")
         return 2
     failed = False
     for x in cfg.x:
@@ -405,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", nargs="?", default="all",
                     choices=("identities", "lemmas", "all"))
     _add_common(pv)
-    pc = sub.add_parser("cache", help="manage the residue-table cache")
-    pc.add_argument("action", choices=("build", "stat", "gc"))
-    _add_common(pc)
     px = sub.add_parser("crosscheck",
                         help="explicit-formula check of one curve against a zero list")
     px.add_argument("zero_file")
@@ -430,8 +375,6 @@ def main(argv=None) -> int:
         return cmd_density(cfg)
     if args.command == "verify":
         return cmd_verify(cfg, args.suite)
-    if args.command == "cache":
-        return cmd_cache(cfg, args.action)
     if args.command == "crosscheck":
         return cmd_crosscheck(cfg, args.zero_file, args.a, args.b)
     raise AssertionError("unreachable")

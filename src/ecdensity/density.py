@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,10 +78,11 @@ from .arith import cube_kernel, divisors, legendre, pairwise_sum, psi4, runs, si
 from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
                          roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_tiles
-from .frobenius import TABLE_CAP, get_table, lambda_p, lambda_p2, sieved_blocks
+from .frobenius import get_table, lambda_p, lambda_p2, sieved_blocks
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
+TABLE_CAP = 1000  # auto routing's cutoff on X^nu; the largest p read through the disk cache
 # The dual staircase is contracted in one row block per _P1_BLOCK_CELLS kept
 # cells, at most _P1_BLOCKS; a block costs about 12 us besides its cells, and
 # on a 2-core host the block loop took 28 against 38 ms at X = 1e4 with 8
@@ -136,7 +138,7 @@ class FamilySpec:
 
 def family(x: float, nu: Fraction | str | float = Fraction(7, 10),
            box: tuple = DEFAULT_BOX, **kw) -> FamilySpec:
-    return FamilySpec(x=float(x), phi=fejer_pair(Fraction(nu)), weight=SmoothWeight(box), **kw)
+    return FamilySpec(x=float(x), phi=fejer_pair(nu), weight=SmoothWeight(box), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,8 @@ def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]], w2: dict[int
 
 def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     """P1 by residue-block contraction per prime, in chunks of _P1_GROUP
-    primes, across a process pool when threads > 1 and the work is large.
+    primes, across a process pool when threads > 1 and the work is large
+    (at most threads workers, and no more than there are chunks or cores).
     The same pass contracts the blocks of the P2 primes (all among the P1
     primes) for P2, which goes to stats["p2"] with the seconds of its
     contractions in stats["p2_s"]; stats["pooled"] says whether the chunks
@@ -269,7 +272,9 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=f.threads) as ex:
+        # never more workers than chunks or cores: the executor may start them all at once
+        workers = min(f.threads, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks, w2s))
     else:
         parts = [_p1_direct_chunk(f, c, w) for c, w in zip(chunks, w2s)]
@@ -288,12 +293,6 @@ def direct_term_count(f: FamilySpec) -> int:
     prime.  The route contracts only the residues the lattice hits; p1_direct
     reports that count as stats["cells"]."""
     return sum(p * p for p in _prime_weights(f, 1)[0])
-
-
-def cached_primes(f: FamilySpec) -> list[int]:
-    """The primes whose residue tables the pipeline reads from f.cache_dir:
-    the P1 primes up to TABLE_CAP (the P2 primes are among them)."""
-    return [p for p in _prime_weights(f, 1)[0] if p <= TABLE_CAP]
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +849,8 @@ class ZeroListTooShort(ValueError):
 
 
 def parse_zero_file(path: str | Path) -> ZeroList:
-    """Read '# curve=<label> T=<height>' then one ordinate per line, ascending."""
+    """Read '# curve=<label> T=<height>' then one ordinate per line, ascending;
+    the height and every ordinate must be finite and >= 0."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ZeroFileError("missing '# curve=<label> T=<height>' header", 1)
@@ -862,6 +862,8 @@ def parse_zero_file(path: str | Path) -> ZeroList:
         height = float(fields["T"])
     except ValueError:
         raise ZeroFileError(f"bad height {fields['T']!r}", 1)
+    if not (math.isfinite(height) and height >= 0):
+        raise ZeroFileError(f"height {height} is not a finite number >= 0", 1)
     gammas = []
     prev = -1.0
     for no, raw in enumerate(lines[1:], start=2):
@@ -872,6 +874,8 @@ def parse_zero_file(path: str | Path) -> ZeroList:
             g = float(text)
         except ValueError:
             raise ZeroFileError(f"not a number: {text!r}", no)
+        if not math.isfinite(g):
+            raise ZeroFileError(f"ordinate {g} is not finite", no)
         if g < 0:
             raise ZeroFileError(f"ordinate {g} is negative", no)
         if g < prev:

@@ -27,7 +27,6 @@ whose blocks share a shape.
 
 from __future__ import annotations
 
-import os
 import struct
 import warnings
 import zlib
@@ -43,7 +42,6 @@ from .characters import dlog_tables
 
 TABLE_MAGIC = b"FRBT"
 TABLE_VERSION = 2
-TABLE_CAP = 1000  # the largest p read through the disk cache; auto routing's cutoff
 # Residue-row correlations of consecutive primes that share one FFT length
 # are stacked into one rfft/irfft per run of at most _STACK_SAMPLES samples.
 # On a 2-core host (one BLAS thread) direct P1 at family(1e4) took 33 ms in
@@ -297,14 +295,6 @@ def load_table(path: str | Path, p: int | None = None) -> FrobTable:
         raise TableFormatError(f"{path}: checksum mismatch")
     table = np.frombuffer(raw[17:-4], dtype="<i2").reshape(hp, hp).astype(np.int16)
     return FrobTable(int(hp), table)
-
-
-def cache_dir() -> Path:
-    """Cache directory; ECDENSITY_CACHE_DIR overrides the default."""
-    env = os.environ.get("ECDENSITY_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "ecdensity"
 
 
 def table_path(p: int, directory: str | Path) -> Path:

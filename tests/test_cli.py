@@ -9,7 +9,6 @@ import pytest
 
 from ecdensity import cli
 from ecdensity.checks import IDENTITY_CHECKS
-from ecdensity.frobenius import lambda_table, save_table, table_path
 from ecdensity.harness import large_sieve_suite
 from ecdensity.cli import (
     ConfigError,
@@ -25,12 +24,11 @@ DATA = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
 
 # -- config files ----------------------------------------------------------
 
-def test_config_render_parse_round_trip(tmp_path):
+def test_config_render_parse_round_trip():
     cfg = RunConfig(x=(1e3, 1e4), nu=Fraction(2, 3), box=(0.25, 0.75, 0.5, 2.0),
-                    method="poisson", cache_dir=str(tmp_path), seed=99,
-                    out="sweep", threads=2, tail_tol=1e-8)
+                    method="poisson", seed=99, out="sweep", threads=2, tail_tol=1e-8)
     assert parse_config(render_config(cfg)) == cfg
-    # defaults round-trip too (cache_dir/out omitted when unset)
+    # defaults round-trip too (out omitted when unset)
     assert parse_config(render_config(RunConfig())) == RunConfig()
 
 
@@ -138,6 +136,7 @@ def test_density_bad_flags_exit_2(capsys):
     ("x", ["inf"]),
     ("x", ["nan"]),
     ("box", ["0.5", "inf", "0.5", "1"]),
+    ("seed", ["-1"]),
 ])
 def test_bad_values_exit_2_from_file_and_flag(tmp_path, capsys, key, words):
     # the config file and the flag read the same parser and checks
@@ -199,53 +198,25 @@ def test_density_missing_config_exit_2(capsys):
     capsys.readouterr()
 
 
-# -- cache -----------------------------------------------------------------
+# -- no disk cache on the command line --------------------------------------
 
-def test_cache_build_stat_gc(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    rc = main(["cache", "build", "--cache-dir", str(cache), "--x", "700"])
-    assert rc == 0
-    files = sorted(cache.glob("*.frbt"))
-    assert len(files) == 23                  # primes 5 .. 97
-    err = capsys.readouterr().err
-    assert "23 tables" in err
-
-    rc = main(["cache", "stat", "--cache-dir", str(cache)])
-    err = capsys.readouterr().err
-    assert rc == 0
-    assert "23 entries" in err
-
-    # corrupt one entry; stat flags it, gc removes exactly that one
-    victim = files[0]
-    victim.write_bytes(victim.read_bytes()[:-2])
-    main(["cache", "stat", "--cache-dir", str(cache)])
-    assert "corrupt" in capsys.readouterr().err
-    rc = main(["cache", "gc", "--cache-dir", str(cache)])
+@pytest.mark.parametrize("argv", [
+    ["cache", "stat"],
+    ["density", "--x", "250", "--cache-dir", "tables"],
+])
+def test_cache_subcommand_and_flag_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
     capsys.readouterr()
-    assert rc == 0
-    assert not victim.exists()
-    assert len(list(cache.glob("*.frbt"))) == 22
 
 
-def test_cache_stat_gc_check_the_prime_in_the_name(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    save_table(lambda_table(37), table_path(37, cache))
-    save_table(lambda_table(29), table_path(31, cache))   # valid, wrong name
-    save_table(lambda_table(29), cache / "frob_pxx.frbt")  # name without a prime
-    rc = main(["cache", "stat", "--cache-dir", str(cache)])
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert rc == 0
-    assert lines[0].startswith("corrupt frob_p31.frbt:")
-    assert lines[0].endswith("holds the table for p=29, not 31")
-    assert lines[1].startswith("p=37 ") and lines[1].endswith(" frob_p37.frbt")
-    assert lines[2].startswith("corrupt frob_pxx.frbt:")
-    assert lines[3].startswith("3 entries, ")
-    rc = main(["cache", "gc", "--cache-dir", str(cache)])
-    err = capsys.readouterr().err
-    assert rc == 0
-    assert "removed 2 corrupt entries" in err
-    assert [f.name for f in cache.glob("*.frbt")] == ["frob_p37.frbt"]
+def test_cache_dir_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = 250\ncache_dir = {tmp_path}\n")
+    assert main(["density", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: line 2: unknown key 'cache_dir'"]
 
 
 # -- crosscheck ------------------------------------------------------------
@@ -285,6 +256,27 @@ def test_crosscheck_malformed_file_exit_2(tmp_path, capsys):
     assert main(["crosscheck", str(bad), "-16", "16"]) == 2
     assert main(["crosscheck", str(tmp_path / "missing.txt"), "-16", "16"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (-3, 2)])
+def test_crosscheck_singular_curve_exit_2(a, b, capsys):
+    assert main(["crosscheck", str(DATA), str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"bad curve: singular curve (a, b) = ({a}, {b})"]
+
+
+@pytest.mark.parametrize("height", ["inf", "nan", "-5"])
+def test_crosscheck_unusable_height_exit_2(height, tmp_path, capsys):
+    # the frozen list under a header whose height is not finite and >= 0
+    lines = DATA.read_text().splitlines()
+    assert lines[0].endswith(" T=22")
+    bad = tmp_path / "z.txt"
+    bad.write_text("\n".join([lines[0].replace("T=22", f"T={height}"), *lines[1:]]) + "\n")
+    assert main(["crosscheck", str(bad), "-16", "16", "--x", "10000"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("malformed zero file: line 1:"), err
 
 
 def test_crosscheck_short_list_exit_3(tmp_path, capsys):

@@ -20,6 +20,7 @@ import pytest
 from ecdensity import density, frobenius
 from ecdensity.density import (
     DEFAULT_TAIL_TOL,
+    TABLE_CAP,
     CrosscheckReport,
     DensityReport,
     ZeroFileError,
@@ -59,7 +60,7 @@ from ecdensity.density import (
     write_zero_file,
 )
 from ecdensity.characters import enumerate_characters
-from ecdensity.frobenius import TABLE_CAP, lambda_table
+from ecdensity.frobenius import lambda_table
 from helpers import _row_cuts
 
 ZERO_FILE = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
@@ -154,6 +155,13 @@ def test_family_nu_comes_from_the_test_pair():
     assert half.nu == half.phi.nu == Fraction(1, 2)
 
 
+def test_family_float_nu_is_the_rational(fam_1e3):
+    # a float nu reaches fejer_pair's limit_denominator, so 0.7 is 7/10
+    f = family(1e3, nu=0.7)
+    assert f.nu == fam_1e3.nu == Fraction(7, 10)
+    assert density_report(f).rank_bound == density_report(fam_1e3).rank_bound
+
+
 def test_w_total_matches_brute(fam_250, fam_1e3):
     for f in (fam_250, fam_1e3):
         ax, bx = _brute_family(f)
@@ -230,6 +238,38 @@ def test_p1_threads_bitwise_deterministic(fam_1e3, monkeypatch):
     want = [repr(p1_direct(f)) for f in (fam_1e3, family(1e4))]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert [repr(p1_direct(family(x, threads=2))) for x in (1e3, 1e4)] == want
+
+
+@pytest.mark.parametrize("x, threads, cores, want", [
+    (1e3, 5000, 3, 2),    # 2 chunks
+    (1e4, 5000, 3, 3),    # 7 chunks, 3 cores
+    (1e4, 2, 3, 2),
+    (1e4, 5000, None, 1),  # os.cpu_count() unknown
+])
+def test_p1_pool_never_outnumbers_chunks_or_cores(x, threads, cores, want, monkeypatch):
+    # a recording stand-in for the executor runs map serially, so no pool starts
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    serial = repr(p1_direct(family(x)))
+    monkeypatch.setattr(density, "_P1_POOL_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    stats: dict = {}
+    assert repr(p1_direct(family(x, threads=threads), stats)) == serial
+    assert stats["pooled"] and asked == [want]
 
 
 def test_p1_pool_keeps_the_serial_bits(fam_1e3, monkeypatch):
@@ -622,7 +662,8 @@ def test_rank_bound_exact_values():
 def test_density_report_consistency(fam_1e3):
     rep = density_report(fam_1e3)
     assert isinstance(rep, DensityReport)
-    assert rep.method == "direct"          # X^nu below the table cap
+    assert fam_1e3.x ** float(fam_1e3.nu) <= TABLE_CAP
+    assert rep.method == "direct"
     assert rep.w == pytest.approx(w_total(fam_1e3), rel=1e-14)
     assert rep.p1_over_w == pytest.approx(rep.p1 / rep.w, rel=1e-14)
     assert rep.p2_over_w == pytest.approx(rep.p2 / rep.w, rel=1e-14)
@@ -789,6 +830,20 @@ def test_parse_zero_file_errors(tmp_path):
     path.write_text("# curve=c T=10\n-1.0\n")
     with pytest.raises(ZeroFileError):
         parse_zero_file(path)
+
+    # a height that is not finite and >= 0, and a non-finite ordinate (a nan
+    # would otherwise switch off the order check for the lines after it)
+    for height in ("inf", "nan", "-5", "-inf"):
+        path.write_text(f"# curve=c T={height}\n1.0\n")
+        with pytest.raises(ZeroFileError) as e:
+            parse_zero_file(path)
+        assert e.value.line_no == 1
+    for text, line_no in (("1.0\nnan\n3.0\n2.0\n", 3), ("1.0\n2.0\ninf\n", 4),
+                          ("-inf\n", 2)):
+        path.write_text("# curve=c T=10\n" + text)
+        with pytest.raises(ZeroFileError) as e:
+            parse_zero_file(path)
+        assert e.value.line_no == line_no
 
 
 def test_parse_zero_file_skips_blanks_and_comments(tmp_path):

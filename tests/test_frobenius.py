@@ -292,7 +292,9 @@ def test_get_table_rejects_another_primes_entry(tmp_path):
 
 
 def test_get_table_without_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("ECDENSITY_CACHE_DIR", str(tmp_path))
+    # no directory, no file: not in the working directory, not under home
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
     t = get_table(17)
     assert list(tmp_path.iterdir()) == []
     assert t.p == 17
