@@ -10,6 +10,7 @@ grows.
 """
 
 from ecdensity.harness import (
+    DEFAULT_SEED,
     gallagher_spacing_suite,
     harness_csv,
     heathbrown_suite,
@@ -17,13 +18,13 @@ from ecdensity.harness import (
     lemma_f_growth,
 )
 
-ls = large_sieve_suite(seed=20260823)
+ls = large_sieve_suite(seed=DEFAULT_SEED)
 print(f"large sieve: {ls.instances} instances, {ls.failures} failures, "
       f"max ratio {ls.max_ratio:.6f}")
-gs = gallagher_spacing_suite(seed=20260823)
+gs = gallagher_spacing_suite(seed=DEFAULT_SEED)
 print(f"zero spacing: {gs.instances} instances, {gs.failures} failures, "
       f"max ratio {gs.max_ratio:.6f}")
-hb = heathbrown_suite(seed=20260823)
+hb = heathbrown_suite(seed=DEFAULT_SEED)
 print(f"fourth-moment comparison: max ratio {hb.max_ratio:.4f} "
       f"(p50 {hb.p50:.4f}, p90 {hb.p90:.4f})")
 

@@ -271,10 +271,12 @@ class SmoothWeight:
         return float(abs(self._axis_scalar(i, 0.0)))
 
     def radius(self, i: int, thresh: float) -> float:
-        """Least grid frequency r with |axis transform| < thresh beyond r."""
+        """Least grid frequency r with |axis transform| < thresh beyond r;
+        ValueError when the envelope never falls below thresh."""
         du, env = self._env[i]
         if thresh <= env[-1]:
-            return du * len(env)  # never certified below thresh on the profile
+            raise ValueError(f"axis {i} transform not certified below {env[-1]:.3g}, "
+                             f"asked for {thresh:.3g}")
         j = int(np.argmax(env < thresh))
         return du * j
 

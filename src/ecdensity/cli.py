@@ -24,6 +24,7 @@ from .density import (
     DEFAULT_TAIL_TOL,
     ZeroFileError,
     ZeroListTooShort,
+    _dual_radii,
     check_lattice,
     density_report,
     explicit_formula_crosscheck,
@@ -34,6 +35,7 @@ from .density import (
     sweep_csv,
 )
 from .harness import (
+    DEFAULT_SEED,
     dirichlet_meanvalue_suite,
     expsum_ratio,
     gallagher_integral_suite,
@@ -44,8 +46,6 @@ from .harness import (
     lemma_f_growth,
     weyl_ratio,
 )
-
-DEFAULT_SEED = 20260823
 
 
 class ConfigError(ValueError):
@@ -124,6 +124,13 @@ _SETTINGS = {
     "out": (str, str, {"metavar": "PREFIX", "help": "output file prefix"}),
 }
 
+# The settings each subcommand reads, as flags and config keys; the rest keep their defaults.
+_COMMAND_KEYS = {
+    "density": ("x", "nu", "box", "method", "threads", "tail_tol", "out"),
+    "verify": ("seed", "out"),
+    "crosscheck": ("x", "nu"),
+}
+
 
 def _parse_setting(key: str, text: str, line_no: int = 0):
     try:
@@ -132,8 +139,10 @@ def _parse_setting(key: str, text: str, line_no: int = 0):
         raise ConfigError(f"bad value for {key}: {exc}", line_no)
 
 
-def _read_config(text: str) -> RunConfig:
-    """Unvalidated settings of key = value lines; '#' comments; unknown keys rejected."""
+def _read_config(text: str, command: str | None) -> RunConfig:
+    """Unvalidated settings of key = value lines; '#' comments; unknown keys
+    rejected, and so are the keys command does not read (None reads all)."""
+    keys = _SETTINGS if command is None else _COMMAND_KEYS[command]
     fields: dict = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,13 +154,15 @@ def _read_config(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"unknown key {key!r}", no)
+        if key not in keys:
+            raise ConfigError(f"{command} does not read key {key!r}", no)
         fields[key] = _parse_setting(key, val, no)
     return RunConfig(**fields)
 
 
 def parse_config(text: str) -> RunConfig:
     """The validated RunConfig of a config file's text (see _read_config)."""
-    return validate_config(_read_config(text))
+    return validate_config(_read_config(text, None))
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -165,12 +176,6 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="PATH", help="key=value config file")
-    for key, (_, _, flag) in _SETTINGS.items():
-        sp.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
-
-
 def _config_from_args(args) -> RunConfig:
     """The config file, overridden by the flags, validated once as merged."""
     text = ""
@@ -179,9 +184,9 @@ def _config_from_args(args) -> RunConfig:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-    cfg = _read_config(text)
+    cfg = _read_config(text, args.command)
     updates = {}
-    for key in _SETTINGS:
+    for key in _COMMAND_KEYS[args.command]:
         val = getattr(args, key)
         if val is not None:
             text = " ".join(val) if isinstance(val, list) else val
@@ -195,11 +200,12 @@ def _spec_for(cfg: RunConfig, x: float):
 
 def _check_lattices(cfg: RunConfig) -> None:
     """Reject, before any work, a box that is empty on an axis or holds a
-    singular curve at some X of the sweep."""
+    singular curve at some X of the sweep, or a tail_tol no radius certifies."""
     for x in cfg.x:
         f = _spec_for(cfg, x)
         try:
             check_lattice(f)
+            _dual_radii(f)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -209,19 +215,14 @@ def _check_lattices(cfg: RunConfig) -> None:
 
 
 def _timing_summary(rep) -> str:
-    """Stage seconds, P1 term counts (and the direct route's stacked row
-    transforms) and conductor sieve primes and hits of one report, for the stderr
-    summary.  On the direct route P1 and P2 share one pass over the blocks,
-    so p2 is the seconds of the P2 contractions alone and p1 includes the
-    block builds of the P2 primes (under the process pool, p2 adds up the
-    workers' seconds and p1 is the wall time of the pass)."""
-    parts = [f"{k}={rep.timings[k]:.3f}s" for k in
-             ("p1", "p1_transform", "p1_contract", "p2", "conductor") if k in rep.timings]
-    parts += [f"{k}={rep.term_counts[k]}" for k in
-              ("p1_terms", "p1_cells", "p1_row_stacks", "conductor_primes",
-               "conductor_hits")
-              if k in rep.term_counts]
-    return " ".join(parts)
+    """Every stage's seconds, then every term count, of one report, in the
+    report's order, for the stderr summary.  On the direct route P1 and P2
+    share one pass over the blocks, so p2 is the seconds of the P2
+    contractions alone and p1 includes the block builds of the P2 primes
+    (under the process pool, p2 adds up the workers' seconds and p1 is the
+    wall time of the pass)."""
+    return " ".join([f"{k}={v:.3f}s" for k, v in rep.timings.items()]
+                    + [f"{k}={v}" for k, v in rep.term_counts.items()])
 
 
 def cmd_density(cfg: RunConfig) -> int:
@@ -323,7 +324,7 @@ def cmd_crosscheck(cfg: RunConfig, zero_file: str, a: int, b: int) -> int:
     failed = False
     for x in cfg.x:
         try:
-            rep = explicit_formula_crosscheck(zl, a, b, _spec_for(cfg, x))
+            rep = explicit_formula_crosscheck(zl, a, b, family(x, cfg.nu))
         except ZeroListTooShort as exc:
             _diag(f"X={x:g}: zero list truncated below required height: {exc}")
             return 3
@@ -347,18 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "y^2 = x^3 + ax + b, with verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    pd = sub.add_parser("density", help="run the density pipeline over an X sweep")
-    _add_common(pd)
+    sub.add_parser("density", help="run the density pipeline over an X sweep")
     pv = sub.add_parser("verify", help="run identity and lemma suites")
     pv.add_argument("suite", nargs="?", default="all",
                     choices=("identities", "lemmas", "all"))
-    _add_common(pv)
     px = sub.add_parser("crosscheck",
                         help="explicit-formula check of one curve against a zero list")
     px.add_argument("zero_file")
     px.add_argument("a", type=int)
     px.add_argument("b", type=int)
-    _add_common(px)
+    for command, sp in sub.choices.items():
+        sp.add_argument("--config", metavar="PATH", help="key=value config file")
+        for key in _COMMAND_KEYS[command]:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_SETTINGS[key][2])
     return parser
 
 
@@ -375,9 +377,7 @@ def main(argv=None) -> int:
         return cmd_density(cfg)
     if args.command == "verify":
         return cmd_verify(cfg, args.suite)
-    if args.command == "crosscheck":
-        return cmd_crosscheck(cfg, args.zero_file, args.a, args.b)
-    raise AssertionError("unreachable")
+    return cmd_crosscheck(cfg, args.zero_file, args.a, args.b)
 
 
 if __name__ == "__main__":

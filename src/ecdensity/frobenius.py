@@ -5,9 +5,9 @@ nonsingular reductions; the same Legendre-sum value is used at singular
 residue pairs.  Degree-p^2 entries follow the convention
 lambda(a, b, p^2) = lambda(a, b, p)^2 - p at every p > 3.
 
-Residue rows come from one evaluator, lambda_blocks, which takes a list of
-primes (lambda_rows is its one-prime call; sieved_blocks is the same
-evaluator for primes the caller has sieved, without the primality checks):
+Residue rows come from one evaluator, sieved_blocks, which takes a list of
+primes the caller has sieved (lambda_rows is its one-prime call, which
+checks that p is prime):
 real-FFT linear correlations against the doubled Legendre sequence for the
 base rows 1 and g (g the primitive root of characters.dlog_table), plus
 row 0 only when some alpha = 0 (mod p) is asked for, and every other row by
@@ -149,8 +149,25 @@ def _base_rows(ps: list[int], nrows: list[int]
 
 def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
                   ) -> Iterator[np.ndarray]:
-    """lambda_blocks for primes p > 3 that the caller has sieved: the same
-    blocks without the primality check of each p."""
+    """lambda(alpha, beta, p) over alphas[i] x betas[i] at each prime
+    p = ps[i] > 3, which the caller has sieved (no primality check), yielded in
+    order as int16 arrays of shape (len(alphas[i]), len(betas[i])).
+
+    Base rows c = 1, g, and c = 0 only when some alpha = 0 (mod p), are the
+    correlation -sum_t counts_c[t] ((t + beta)/p) of the value counts of
+    x^3 + c x, taken as a linear correlation against the doubled Legendre
+    sequence by real FFTs at n, the least power of two >= 2p; exact after
+    rounding (|lambda| < 2 sqrt(p) << the double mantissa; the audits catch a
+    failure).  Consecutive primes with one n are transformed together, one
+    stacked rfft of their Legendre sequences, one of their counts and one
+    irfft per run, each run holding at most _STACK_SAMPLES samples (a prime
+    above that is a run of its own) and reading one dlog_tables context;
+    stats["row_stacks"], when stats is given, is increased by the number of
+    runs.  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
+    d = g^floor(t/2), so it is read off as
+    lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
+    (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
+    """
     a = [np.asarray(al, dtype=np.int64) % p for al, p in zip(alphas, ps)]
     b = [np.asarray(be, dtype=np.int64) % p for be, p in zip(betas, ps)]
     nrows = [3 if (ai == 0).any() else 2 for ai in a]
@@ -184,36 +201,12 @@ def sieved_blocks(ps: list[int], alphas, betas, stats: dict | None = None
             yield from signed.take(cols + (row * w)[:, :, None])
 
 
-def lambda_blocks(ps, alphas, betas, stats: dict | None = None) -> Iterator[np.ndarray]:
-    """lambda(alpha, beta, p) over alphas[i] x betas[i] at each p = ps[i],
-    yielded in order as int16 arrays of shape (len(alphas[i]), len(betas[i])).
-
-    Base rows c = 1, g, and c = 0 only when some alpha = 0 (mod p), are the
-    correlation -sum_t counts_c[t] ((t + beta)/p) of the value counts of
-    x^3 + c x, taken as a linear correlation against the doubled Legendre
-    sequence by real FFTs at n, the least power of two >= 2p; exact after
-    rounding (|lambda| < 2 sqrt(p) << the double mantissa; the audits catch a
-    failure).  Consecutive primes with one n are transformed together, one
-    stacked rfft of their Legendre sequences, one of their counts and one
-    irfft per run, each run holding at most _STACK_SAMPLES samples (a prime
-    above that is a run of its own) and reading one dlog_tables context;
-    stats["row_stacks"], when stats is given, is increased by the number of
-    runs.  Any other row alpha = g^t is c d^2 with c = g^(t mod 2) and
-    d = g^floor(t/2), so it is read off as
-    lambda(alpha, beta) = (d/p) lambda(c, beta d^-3 mod p), with
-    (d/p) = (-1)^floor(t/2) and d^-3 = g^(-3 floor(t/2)).
-    """
-    ps = [int(p) for p in ps]
-    for p in ps:
-        _check_p(p)
-    yield from sieved_blocks(ps, alphas, betas, stats)
-
-
 def lambda_rows(p: int, alphas, betas) -> np.ndarray:
     """lambda(alpha, beta, p) over alphas x betas, an int16 array of shape
-    (len(alphas), len(betas)): the one-prime call of lambda_blocks, whose
+    (len(alphas), len(betas)): the one-prime call of sieved_blocks, whose
     docstring gives the method."""
-    return next(lambda_blocks([p], [alphas], [betas]))
+    _check_p(p)
+    return next(sieved_blocks([int(p)], [alphas], [betas]))
 
 
 def lambda_table(p: int) -> FrobTable:

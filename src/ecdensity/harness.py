@@ -20,6 +20,7 @@ from .characters import character_table, enumerate_characters
 from .frobenius import legendre_table
 
 CONSTANT_ONE = ("large_sieve", "gallagher_spacing")  # constant exactly 1: gate 07
+DEFAULT_SEED = 20260823
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def large_sieve_check(q: int, m: int, n: int, a) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs * (1 + 1e-12)
 
 
-def large_sieve_suite(trials: int = 120, seed: int = 20260823) -> RatioReport:
+def large_sieve_suite(trials: int = 120, seed: int = DEFAULT_SEED) -> RatioReport:
     rng = np.random.default_rng(seed)
     q_max = n_max = 200
     ratios, failures = [], 0
@@ -173,7 +174,7 @@ def heathbrown_ratio(p_size: int, n: int, a) -> float | None:
 
 
 def heathbrown_suite(sizes=((50, 50), (100, 100), (200, 200), (400, 400)),
-                     seed: int = 20260823) -> RatioReport:
+                     seed: int = DEFAULT_SEED) -> RatioReport:
     """Squarefree-indicator and random coefficients across a doubling grid."""
     rng = np.random.default_rng(seed)
     ratios = []
@@ -228,7 +229,7 @@ def _random_trig_poly(rng):
     return s, s_prime
 
 
-def gallagher_spacing_suite(trials: int = 120, seed: int = 20260823) -> RatioReport:
+def gallagher_spacing_suite(trials: int = 120, seed: int = DEFAULT_SEED) -> RatioReport:
     rng = np.random.default_rng(seed)
     ratios, failures = [], 0
     for _ in range(trials):
@@ -298,7 +299,7 @@ def gallagher_integral_ratio(a, t: float) -> float:
     return lhs / rhs
 
 
-def gallagher_integral_suite(trials: int = 60, seed: int = 20260823) -> RatioReport:
+def gallagher_integral_suite(trials: int = 60, seed: int = DEFAULT_SEED) -> RatioReport:
     rng = np.random.default_rng(seed)
     n_max, t_max = 120, 40.0
     ratios = []
@@ -341,7 +342,7 @@ def dirichlet_meanvalue_check(q: int, a, sets, sigma: float,
     return lhs, rhs, lhs / rhs
 
 
-def dirichlet_meanvalue_suite(trials: int = 50, seed: int = 20260823) -> RatioReport:
+def dirichlet_meanvalue_suite(trials: int = 50, seed: int = DEFAULT_SEED) -> RatioReport:
     rng = np.random.default_rng(seed)
     q, n_len, sigma, t_max = 7, 50, 0.5, 30.0
     n_chars = len(enumerate_characters(q))
@@ -453,7 +454,7 @@ def _cubic_phase_sum(ns, mod: int, scale: int, cs) -> complex:
 
 
 def expsum_ratio(n_size: int, p_size: int, d0: int, k: int, trials: int = 8,
-                 seed: int = 20260823) -> RatioReport:
+                 seed: int = DEFAULT_SEED) -> RatioReport:
     """R = sum_{p ~ P} |sum_{n ~ N} e(n^3 d0^3/(p k^2)) c_n| with |c_n| <= 1
     against N^(1/2) P + N^(1/4) P^(5/4) k^(1/2) d0^(-3/4).  Trial 0 is
     c = 1; later trials draw random phases."""
@@ -481,7 +482,7 @@ def expsum_ratio(n_size: int, p_size: int, d0: int, k: int, trials: int = 8,
 
 
 def weyl_ratio(h_size: int, p_size: int, k: int, trials: int = 4,
-               seed: int = 20260823) -> RatioReport:
+               seed: int = DEFAULT_SEED) -> RatioReport:
     """sum_{p ~ P} |sum_{h ~ H} e(h^3 kbar^2/p)| against
     H^(3/4) P + H P^(3/4) + H^(1/4) P^(5/4), epsilon power dropped.
     Trial 0 uses the given k; further trials draw random k."""

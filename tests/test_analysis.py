@@ -231,6 +231,18 @@ def test_radius_certifies_decay():
     assert w.radius(0, 1e-12) >= w.radius(0, 1e-4)
 
 
+def test_radius_raises_at_the_envelope_floor():
+    # the default box's envelope ends near 7.5e-20: no radius is certified
+    # at or below its last value
+    w = SmoothWeight()
+    du, env = w._env[0]
+    assert 1e-20 < env[-1] < 1e-19
+    assert w.radius(0, 1e-19) < du * len(env)
+    for thresh in (env[-1], 1e-21):
+        with pytest.raises(ValueError, match="not certified"):
+            w.radius(0, thresh)
+
+
 def _complex_fft_profile():
     # the envelope's oracle: the same bins from the full complex FFT
     m = _PROFILE_SAMPLES

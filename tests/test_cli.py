@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from ecdensity.cli import (
 )
 
 DATA = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
+README = Path(__file__).parents[1] / "README.md"
 
 
 # -- config files ----------------------------------------------------------
@@ -104,10 +107,11 @@ def test_density_stderr_explains_timing(capsys):
     assert rc == 0
     summary, timing = captured.err.strip().splitlines()
     assert summary.startswith("X=250 method=poisson assembled=")
-    assert timing.startswith("X=250 p1=")
+    assert timing.startswith("X=250 w_total=")
     keys = [part.split("=")[0] for part in timing.split()[1:]]
-    assert keys == ["p1", "p1_transform", "p1_contract", "p2", "conductor",
-                    "p1_terms", "p1_cells", "conductor_primes", "conductor_hits"]
+    assert keys == ["w_total", "p1", "p2", "p1_transform", "p1_contract", "conductor",
+                    "p1_terms", "p1_primes", "p1_cells", "p1_points",
+                    "conductor_primes", "conductor_hits"]
     # the CSV on stdout is the one sweep_csv writes
     assert captured.out == cli.sweep_csv([cli.density_report(cli.family(250), "poisson")])
     main(["density", "--x", "250", "--method", "direct"])
@@ -137,13 +141,16 @@ def test_density_bad_flags_exit_2(capsys):
     ("x", ["nan"]),
     ("box", ["0.5", "inf", "0.5", "1"]),
     ("seed", ["-1"]),
+    ("tail_tol", ["1e-23"]),  # below the floor of the weight's transform envelope
 ])
 def test_bad_values_exit_2_from_file_and_flag(tmp_path, capsys, key, words):
-    # the config file and the flag read the same parser and checks
+    # the config file and the flag read the same parser and checks, on the
+    # first subcommand that reads the key
+    command = next(c for c, keys in cli._COMMAND_KEYS.items() if key in keys)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {' '.join(words)}\n")
     flag = "--" + key.replace("_", "-")
-    for argv in (["density", "--config", str(cfg)], ["density", flag, *words]):
+    for argv in ([command, "--config", str(cfg)], [command, flag, *words]):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
@@ -196,6 +203,56 @@ def test_config_file_is_validated_after_the_flags(tmp_path, capsys):
 def test_density_missing_config_exit_2(capsys):
     assert main(["density", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()
+
+
+# -- the settings each subcommand reads --------------------------------------
+
+VALUES = {"x": ["250"], "nu": ["2/3"], "box": ["0.25", "0.75", "0.5", "2.0"],
+          "method": ["direct"], "seed": ["5"], "threads": ["2"],
+          "tail_tol": ["1e-8"], "out": ["run"]}
+
+
+@pytest.mark.parametrize("head, reads", [
+    (["density"], {"x", "nu", "box", "method", "threads", "tail_tol", "out"}),
+    (["verify", "lemmas"], {"seed", "out"}),
+    (["crosscheck", str(DATA), "-16", "16"], {"x", "nu"}),
+], ids=["density", "verify", "crosscheck"])
+def test_each_subcommand_takes_only_the_settings_it_reads(head, reads, tmp_path, capsys):
+    # a setting the subcommand reads comes from its flag or its config key;
+    # any other is rejected with exit 2 by argparse as a flag, and with one
+    # config error line as a file key
+    cfg = tmp_path / "run.cfg"
+    for key, words in VALUES.items():
+        flag = "--" + key.replace("_", "-")
+        cfg.write_text(f"{key} = {' '.join(words)}\n")
+        want = getattr(parse_config(cfg.read_text()), key)
+        if key in reads:
+            for argv in (head + [flag, *words], head + ["--config", str(cfg)]):
+                args = cli.build_parser().parse_args(argv)
+                assert getattr(cli._config_from_args(args), key) == want
+            continue
+        with pytest.raises(SystemExit) as e:
+            main(head + [flag, *words])
+        assert e.value.code == 2
+        capsys.readouterr()
+        assert main(head + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: line 1: {head[0]} does not read key {key!r}"]
+
+
+def test_readme_command_lines_parse():
+    # every command line the README shows, in a code block or inline, is one
+    # the parser takes: a documented flag a subcommand dropped fails here
+    text = README.read_text()
+    lines = [line.split("#")[0] for line in text.splitlines() if line.startswith("ecdensity ")]
+    lines += re.findall(r"`(ecdensity [^`]*)`", text)
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line!r}")
 
 
 # -- no disk cache on the command line --------------------------------------

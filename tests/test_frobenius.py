@@ -14,7 +14,6 @@ from ecdensity.frobenius import (
     FrobTable,
     TableFormatError,
     get_table,
-    lambda_blocks,
     lambda_p,
     lambda_p2,
     lambda_rows,
@@ -23,6 +22,7 @@ from ecdensity.frobenius import (
     legendre_table,
     load_table,
     save_table,
+    sieved_blocks,
     table_path,
     twisted_closed_form,
     twisted_complete_sum,
@@ -146,21 +146,21 @@ def _chunk(rng, ps, with_zero):
     return alphas, betas
 
 
-def test_lambda_blocks_across_an_fft_length(rng):
+def test_sieved_blocks_across_an_fft_length(rng):
     # 503, 509 transform at n = 1024 and 521, 523 at 2048: two stacked runs,
     # each mixing primes with and without alpha = 0, give the one-prime blocks
     ps = [503, 509, 521, 523]
     assert [frobenius._fft_len(p) for p in ps] == [1024, 1024, 2048, 2048]
     alphas, betas = _chunk(rng, ps, [True, False, False, True])
     stats: dict = {}
-    blocks = list(lambda_blocks(ps, alphas, betas, stats))
+    blocks = list(sieved_blocks(ps, alphas, betas, stats))
     assert stats == {"row_stacks": 2}
     for p, al, be, block in zip(ps, alphas, betas, blocks, strict=True):
         assert np.array_equal(block, lambda_rows(p, al, be))
         assert block[0, 1] == lambda_p(al[0], be[1], p)
 
 
-def test_lambda_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
+def test_sieved_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
     # four primes of n = 1024 hold 4 + 3 + 3 + 4 rows of 1024 samples; a cap
     # of 7 rows' worth splits them into two runs, a cap below one prime's
     # rows into runs of one, and every block stays the one-prime block
@@ -173,7 +173,7 @@ def test_lambda_blocks_split_runs_at_the_sample_cap(rng, monkeypatch):
     for cap, runs in ((7 * 1024, 2), (1024, 4), (14 * 1024, 1)):
         monkeypatch.setattr(frobenius, "_STACK_SAMPLES", cap)
         stats: dict = {}
-        blocks = list(lambda_blocks(ps, alphas, betas, stats))
+        blocks = list(sieved_blocks(ps, alphas, betas, stats))
         assert stats["row_stacks"] == runs
         assert all(np.array_equal(b, w) for b, w in zip(blocks, want, strict=True))
 
