@@ -12,8 +12,8 @@ are a fixed 256-node Gauss-Legendre sum per axis, at single points, or on
 whole progressions for several steps at once: the nodes pair about the axis
 centre, so each progression is one real product of two power tables over
 the 128 node pairs (one complex exp per node and table, the rest by
-doubling).  The DFT magnitude profile of the unit bump, read from its real
-half-spectrum once per process and scaled to each axis, supplies certified
+doubling).  The DFT magnitude profile of the unit bump, built once per
+process from short FFTs and scaled to each axis, supplies certified
 truncation radii for lattice sums (the quadrature itself is only trusted
 inside the profiled band).
 """
@@ -26,7 +26,6 @@ from functools import cache
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +112,8 @@ def bump(t):
     """exp(-1/(t(1-t))) on (0, 1), 0 elsewhere; vectorized, overflow-safe."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    # one array worked in place: on the unit bump's 2^16 profile samples the
-    # temporaries of the plain expression stayed resident in the heap
-    out = np.where(inside, t, 0.5)
-    out *= 1.0 - out
-    np.divide(-1.0, out, out=out)
-    np.exp(out, out=out)
-    out[~inside] = 0.0
-    return out
+    t = np.where(inside, t, 0.5)
+    return np.where(inside, np.exp(-1.0 / (t * (1.0 - t))), 0.0)
 
 
 def _power_rows(z: np.ndarray, count: int, first) -> np.ndarray:
@@ -144,19 +137,49 @@ DEFAULT_BOX = (0.5, 1.0, 0.5, 1.0)
 GL_NODES = 256
 _PROFILE_SAMPLES = 1 << 16
 _PROFILE_BINS = 4096
+# glibc raises its mmap threshold to the size of each mmapped block freed: one untouched 2 MiB
+# block sets it where the bump profile's 2^18-point rfft once did, so blocks up to that size
+# (a 0.8 MiB cached table at 1e4) stay in the heap rather than being faulted in on every call
+np.empty(1 << 18)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule, n even, by Newton
+    on the recurrence (Hale and Townsend, SIAM J. Sci. Comput. 2013), mirrored."""
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * np.arange(n // 2) + 3) / (4 * n + 2))
+    for step in range(4):  # three Newton steps reach rounding at n = 256; the fourth reads P_n'
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))  # 1 - x^2, accurate at the ends
+        x = x - p1 / dp if step < 3 else x
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
 @cache
 def _unit_bump_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Gauss-Legendre nodes, weights, |DFT| of the unit bump sampled at
-    _PROFILE_SAMPLES midpoints with 4x zero-padding, first 4 _PROFILE_BINS
-    bins), shared by every SmoothWeight and built on first use.  The samples
-    are real, so these bins come from the real half-spectrum (rfft), sliced
-    before abs: the same bins as the complex FFT's, at half its memory."""
-    g, w = leggauss(GL_NODES)
-    m = _PROFILE_SAMPLES
-    samples = bump((np.arange(m) + 0.5) / m)
-    return g, w, np.abs(np.fft.rfft(samples, n=4 * m)[: 4 * _PROFILE_BINS])
+    """(Gauss-Legendre nodes, weights, |DFT| of the unit bump at _PROFILE_SAMPLES
+    midpoints, 4x zero-padded, first 4 _PROFILE_BINS bins), built once with no
+    LAPACK call.  Bins D j + r are the FFT of the samples folded to 4 m / D
+    points (row q times e(-r q / D)), twiddled by e(-r t / 4 m) from two short
+    tables; bins D j + D - r are its bins 4 m / D - 1 - j, conjugated."""
+    m, d = _PROFILE_SAMPLES, 32  # the last bins are rounding noise, and move with d
+    n, ln, keep = 4 * m, 4 * m // d, 4 * _PROFILE_BINS // d
+    rows = np.empty((m // ln, ln))
+    for q, row in enumerate(rows):  # a row at a time keeps the temporaries short
+        row[:] = bump((np.arange(q * ln, (q + 1) * ln) + 0.5) / m)
+    prof, y = np.empty((keep, d + 1)), np.empty(ln, dtype=complex)
+    for r in range(d // 2 + 1):
+        fold = np.exp(-2j * np.pi * r * np.arange(m // ln) / d)
+        y.real, y.imag = fold.real @ rows, fold.imag @ rows
+        grid = y.reshape(-1, 128)  # t = 128 i + j
+        grid *= np.exp(-2j * np.pi * r * np.arange(128) / n)
+        grid *= np.exp(-2j * np.pi * r * np.arange(0, ln, 128) / n)[:, None]
+        spec = np.abs(np.fft.fft(y))
+        prof[:, d - r] = spec[:-keep - 1:-1]  # column d is scratch; r = d/2 is overwritten
+        prof[:, r] = spec[:keep]
+    return (*_gauss_legendre(GL_NODES), prof[:, :d].ravel())
 
 
 class SmoothWeight:

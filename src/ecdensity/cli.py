@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,9 +139,9 @@ def _parse_setting(key: str, text: str, line_no: int = 0):
         raise ConfigError(f"bad value for {key}: {exc}", line_no)
 
 
-def _read_config(text: str, command: str | None) -> RunConfig:
-    """Unvalidated settings of key = value lines; '#' comments; unknown keys
-    rejected, and so are the keys command does not read (None reads all)."""
+def _read_config(text: str, command: str | None) -> dict:
+    """The unvalidated settings of key = value lines; '#' comments; unknown
+    keys rejected, and so are the keys command does not read (None reads all)."""
     keys = _SETTINGS if command is None else _COMMAND_KEYS[command]
     fields: dict = {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -157,12 +157,12 @@ def _read_config(text: str, command: str | None) -> RunConfig:
         if key not in keys:
             raise ConfigError(f"{command} does not read key {key!r}", no)
         fields[key] = _parse_setting(key, val, no)
-    return RunConfig(**fields)
+    return fields
 
 
 def parse_config(text: str) -> RunConfig:
     """The validated RunConfig of a config file's text (see _read_config)."""
-    return validate_config(_read_config(text, None))
+    return validate_config(RunConfig(**_read_config(text, None)))
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -184,14 +184,15 @@ def _config_from_args(args) -> RunConfig:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-    cfg = _read_config(text, args.command)
-    updates = {}
+    fields = _read_config(text, args.command)
     for key in _COMMAND_KEYS[args.command]:
         val = getattr(args, key)
         if val is not None:
             text = " ".join(val) if isinstance(val, list) else val
-            updates[key] = _parse_setting(key, text)
-    return validate_config(replace(cfg, **updates))
+            fields[key] = _parse_setting(key, text)
+    if getattr(args, "suite", None) == "identities" and fields:
+        raise ConfigError(f"verify identities does not read {', '.join(map(repr, fields))}")
+    return validate_config(RunConfig(**fields))
 
 
 def _spec_for(cfg: RunConfig, x: float):

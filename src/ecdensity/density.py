@@ -303,8 +303,13 @@ def _dual_radii(f: FamilySpec) -> tuple[float, float]:
     """(r0, r1), the radius of each axis at tail_tol over the other's mass;
     neither depends on p, so a prime loop computes them once."""
     wt = f.weight
-    return (wt.radius(0, f.tail_tol / wt.axis_mass(1)),
-            wt.radius(1, f.tail_tol / wt.axis_mass(0)))
+    try:
+        return (wt.radius(0, f.tail_tol / wt.axis_mass(1)),
+                wt.radius(1, f.tail_tol / wt.axis_mass(0)))
+    except ValueError:  # the least tail_tol: an axis's envelope floor times the other's mass
+        least = max(wt._env[i][1][-1] * wt.axis_mass(1 - i) for i in (0, 1))
+        raise ValueError(f"tail_tol {f.tail_tol:g} must exceed {least:.3g}, below which "
+                         "the weight box certifies no radius") from None
 
 
 def _dual_extent(f: FamilySpec, p: int, radii: tuple[float, float]) -> tuple[int, int]:

@@ -279,15 +279,43 @@ def test_radius_matches_complex_fft_envelope(box):
 
 
 def test_bump_profile_build_stays_small():
-    # the profile comes from the real half-spectrum: about 2.7 MiB traced,
-    # against 6.6 MiB for the complex FFT of the same padded samples
+    # the profile comes from 2^13-point FFTs of folded samples: about 1.0 MiB
+    # traced, against 2.7 MiB for one 2^18-point rfft and 6.6 MiB for the
+    # complex FFT of the same padded samples
     tracemalloc.start()
     try:
         _unit_bump_constants.__wrapped__()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 1.25 * 2**20
+
+
+def test_gauss_legendre_rule_matches_a_40_digit_reference():
+    # Newton on the Legendre recurrence at 40 digits from each float node:
+    # every node within 2 ulp of a root of P_256, every weight within 1e-12
+    # relative (numpy's eigenvalue-based leggauss is 2.1e-11 off at the
+    # ends), and the 40-digit weights sum to 2, so no root is found twice
+    mp = pytest.importorskip("mpmath")
+    g, w, _ = _unit_bump_constants()
+    n = len(g)
+    assert np.all(np.diff(g) > 0) and np.array_equal(g, -g[::-1]) and np.array_equal(w, w[::-1])
+    total = mp.mpf(0)
+    with mp.workdps(40):
+        for x0, w0 in zip(g[n // 2:], w[n // 2:]):
+            x = mp.mpf(float(x0))
+            for step in range(3):
+                p0, p1 = mp.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                if step < 2:
+                    x -= p1 / dp
+            want = 2 / ((1 - x * x) * dp**2)
+            total += 2 * want
+            assert abs(mp.mpf(float(x0)) - x) <= 2 * np.spacing(float(x))
+            assert abs(mp.mpf(float(w0)) - want) <= 1e-12 * want
+        assert abs(total - 2) < mp.mpf(10) ** -30
 
 
 def test_gaussian_pair_closed_form_transform():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ecdensity import cli
+from ecdensity.analysis import SmoothWeight
 from ecdensity.checks import IDENTITY_CHECKS
 from ecdensity.harness import large_sieve_suite
 from ecdensity.cli import (
@@ -154,6 +155,13 @@ def test_bad_values_exit_2_from_file_and_flag(tmp_path, capsys, key, words):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
+        if key == "tail_tol":
+            # the line names the setting and the least value the box certifies,
+            # each axis's envelope floor times the other axis's mass
+            w = SmoothWeight()
+            least = max(w._env[i][1][-1] * w.axis_mass(1 - i) for i in (0, 1))
+            assert err[0] == (f"config error: tail_tol 1e-23 must exceed {least:.3g}, "
+                              "below which the weight box certifies no radius")
 
 
 def test_flags_accept_config_file_values(capsys):
@@ -216,11 +224,14 @@ VALUES = {"x": ["250"], "nu": ["2/3"], "box": ["0.25", "0.75", "0.5", "2.0"],
     (["density"], {"x", "nu", "box", "method", "threads", "tail_tol", "out"}),
     (["verify", "lemmas"], {"seed", "out"}),
     (["crosscheck", str(DATA), "-16", "16"], {"x", "nu"}),
-], ids=["density", "verify", "crosscheck"])
+    (["verify", "identities"], set()),
+], ids=["density", "verify", "crosscheck", "identities"])
 def test_each_subcommand_takes_only_the_settings_it_reads(head, reads, tmp_path, capsys):
     # a setting the subcommand reads comes from its flag or its config key;
     # any other is rejected with exit 2 by argparse as a flag, and with one
-    # config error line as a file key
+    # config error line as a file key.  The identity suite reads neither of
+    # verify's settings: its flag parses, and from either source the setting
+    # exits 2 with one line naming the suite and the setting
     cfg = tmp_path / "run.cfg"
     for key, words in VALUES.items():
         flag = "--" + key.replace("_", "-")
@@ -230,6 +241,12 @@ def test_each_subcommand_takes_only_the_settings_it_reads(head, reads, tmp_path,
             for argv in (head + [flag, *words], head + ["--config", str(cfg)]):
                 args = cli.build_parser().parse_args(argv)
                 assert getattr(cli._config_from_args(args), key) == want
+            continue
+        if key in cli._COMMAND_KEYS[head[0]]:
+            for argv in (head + [flag, *words], head + ["--config", str(cfg)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err.splitlines() == [
+                    f"config error: verify identities does not read {key!r}"]
             continue
         with pytest.raises(SystemExit) as e:
             main(head + [flag, *words])

@@ -329,12 +329,14 @@ def test_poisson_term_count_consistent(fam_250, fam_1e3):
 
 
 @pytest.mark.parametrize("x, want, cells", [
-    (1e3, "-0.0002316110791003078", 137_219),
-    (1e4, "-0.0003755939904706963", 1_434_769),
+    (1e3, "-0.00023161107910030728", 137_219),
+    (1e4, "-0.0003755939904706961", 1_434_769),
 ])
 def test_p1_poisson_pinned(x, want, cells):
     # the dual P1 and its built cells, as read before the windows, cuts and
-    # tables of a prime group were stacked
+    # tables of a prime group were stacked; the P1 reprs moved in their last
+    # digits (2.2e-15 and 5.8e-16 relative) when the Gauss-Legendre rule
+    # moved from leggauss to Newton on the recurrence, the cells did not
     stats = {}
     assert repr(p1_poisson(family(x), stats)) == want
     assert stats["cells"] == cells
@@ -590,15 +592,37 @@ def test_import_and_report_load_no_scipy():
 
 
 def test_serial_report_loads_no_process_pool():
-    # the pool and multiprocessing are imported only when p1_direct pools
+    # the pool and multiprocessing are imported only when p1_direct pools, and
+    # the Gauss-Legendre rule comes without numpy.polynomial's leggauss
     code = ("import sys, ecdensity\n"
             "ecdensity.density_report(ecdensity.family(1e3))\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
-            "             if m in sys.modules))\n")
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+            "                         'numpy.polynomial') if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_first_family_build_stays_small_next_to_the_import():
+    # the high-water mark of a fresh process that builds family(1e3) (the
+    # rule, the bump profile and the envelopes) over one that only imports
+    # ecdensity: about 2.1 MiB with 2^13-point FFTs, where one 2^18-point
+    # rfft and leggauss read about 9 MiB (one BLAS thread in both).  Both
+    # peaks come from os.wait4 in a small launcher, because a child's
+    # ru_maxrss starts at the RSS of the process that spawned it (pytest's)
+    launcher = ("import os, subprocess, sys\n"
+                "for code in ('import ecdensity', 'import ecdensity; ecdensity.family(1e3)'):\n"
+                "    pid = subprocess.Popen([sys.executable, '-c', code]).pid\n"
+                "    _, status, usage = os.wait4(pid, 0)\n"
+                "    assert status == 0\n"
+                "    print(usage.ru_maxrss / 1024)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True,
+                         env=env, check=True)
+    base, built = map(float, out.stdout.split())
+    assert built - base < 4.0
 
 
 def test_poisson_tail_tol_monotone(fam_250):

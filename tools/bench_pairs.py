@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repository's benchmark.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --label NAME [--seed S] [--workloads W ...]
+
+PARENT and CHANGE are two checkouts (fresh copies, not worktrees) whose
+absolute paths have the same length: the heap layout, and with it
+`peak_rss_mb`, shifts with the length of the path the interpreter is started
+from, so paths of different lengths are refused.  For each workload of
+BENCHMARK.json and each of ten pairs, the script runs the benchmark command
+(`python3 bench/run.py --workload W --seed S --seconds T`, T the benchmark's
+run_seconds) once in each checkout, alternating which goes first, and reads
+the last JSON line of each run's stdout.  It writes BENCH_<label>.json at
+the root of the repository it lives in: per workload and end-to-end metric,
+both medians, the parent's interquartile range and the pairs the change won
+(a tie counts for neither), next to every run's values.  The script only
+runs the benchmark command; it reads and writes nothing under bench/
+itself.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+
+
+def same_length_paths(parent: str, change: str) -> tuple[Path, Path]:
+    """Both checkouts as absolute paths; ValueError when their lengths differ."""
+    a, b = Path(parent).resolve(), Path(change).resolve()
+    if len(str(a)) != len(str(b)):
+        raise ValueError(f"checkout paths differ in length ({len(str(a))} and "
+                         f"{len(str(b))} characters): {a} {b}")
+    return a, b
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """The metrics of one benchmark run: {name: value} from its last JSON line."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    record = json.loads(lines[-1])
+    return {k: v["value"] for k, v in record["metrics"].items()}
+
+
+def iqr(values: list[float]) -> float:
+    """Distance between the quartiles (inclusive method, numpy's default)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of `metrics` (BENCHMARK.json's end_to_end entries): both
+    medians, the parent's IQR and the pairs the change won, run i of parent
+    paired with run i of change."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pv = [r[name] for r in parent]
+        cv = [r[name] for r in change]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
+                     "parent_median": statistics.median(pv),
+                     "change_median": statistics.median(cv),
+                     "parent_iqr": iqr(pv), "pairs": len(pv), "won": won,
+                     "parent": pv, "change": cv}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workloads", nargs="+", help="default: every workload")
+    args = ap.parse_args(argv)
+    try:
+        parent, change = same_length_paths(args.parent, args.change)
+    except ValueError as exc:
+        ap.error(str(exc))
+    spec = json.loads((parent / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    result = {"label": args.label, "command": spec["command"], "seed": args.seed,
+              "seconds": seconds, "pairs": PAIRS, "parent": parent.name,
+              "change": change.name,
+              "environment": {"python": platform.python_version(),
+                              "nproc": len(os.sched_getaffinity(0)),
+                              "machine": platform.machine()},
+              "workloads": {}}
+    for wl in workloads:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = parent if side == "parent" else change
+                runs[side].append(run_once(checkout, spec["command"], wl, args.seed, seconds))
+            print(f"{wl} pair {i + 1}/{PAIRS} done", file=sys.stderr)
+        summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
+        result["workloads"][wl] = summary
+        for name, s in summary.items():
+            print(f"{wl:14s} {name:12s} {s['parent_median']:.4g} -> {s['change_median']:.4g} "
+                  f"{s['unit']} (parent IQR {s['parent_iqr']:.3g}, won {s['won']}/{s['pairs']})")
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
