@@ -137,9 +137,9 @@ DEFAULT_BOX = (0.5, 1.0, 0.5, 1.0)
 GL_NODES = 256
 _PROFILE_SAMPLES = 1 << 16
 _PROFILE_BINS = 4096
-# glibc raises its mmap threshold to the size of each mmapped block freed: one untouched 2 MiB
-# block sets it where the bump profile's 2^18-point rfft once did, so blocks up to that size
-# (a 0.8 MiB cached table at 1e4) stay in the heap rather than being faulted in on every call
+# glibc raises its mmap threshold to each mmapped block freed: this untouched 2 MiB block keeps
+# blocks up to that size in the heap, as the profile's 2^18-point rfft once did: the conductor
+# sieve's 1.30 MiB grids at 1e7 and load_table's read buffer (cached 1e4 peaks 1 MiB less)
 np.empty(1 << 18)
 
 

@@ -57,27 +57,33 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-def power_table(g: int, n: int, q: int) -> np.ndarray:
-    """g^t mod q for t = 0..n-1 as int64 (q < 3e9).  With t = b i + j and
-    b ~ sqrt(n), the b powers g^j and the n/b powers g^(b i) come from two
-    short loops and one outer product mod q, as in axis_progressions."""
-    b = math.isqrt(n) + 1
-    runs = []
-    for step, count in ((g % q, b), (pow(g, b, q), n // b + 1)):
-        run = np.empty(count, dtype=np.int64)
-        acc = 1
-        for j in range(count):
-            run[j] = acc
-            acc = acc * step % q
-        runs.append(run)
-    return (runs[1][:, None] * runs[0] % q).ravel()[:n]
+def power_table(g, n: int, q) -> np.ndarray:
+    """g^t mod q for t = 0..n-1, one row per entry of g and q (scalars give a
+    1-D row), by doubling: the first k powers times g^k are the next k.  The
+    rows are int32 when every q < 46,341, so a product of two residues fits,
+    and int64 otherwise (q < 3e9)."""
+    q = np.asarray(q)
+    dt = np.int32 if q.max() < 46341 else np.int64
+    q = q.astype(dt)[..., None]
+    step = np.asarray(g, dtype=dt)[..., None] % q
+    out = np.empty(step.shape[:-1] + (n,), dtype=dt)
+    out[..., :1] = 1 % q
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        seg = out[..., k:k + m]
+        np.multiply(out[..., :m], step, out=seg)
+        np.remainder(seg, q, out=seg)
+        step = step * step % q
+        k += m
+    return out
 
 
 def roots_of_unity(q: int) -> np.ndarray:
     """e(n/q) for n = 0..q-1.  With n = b i + j and b ~ sqrt(q), the b
     values e(j/q) and the q/b values e(b i/q) come from two short exp lists
-    and one outer product, as in power_table; the coarse list reads its
-    argument in (-q/2, q/2], where exp is most accurate.  roots[0] == 1."""
+    and one outer product; the coarse list reads its argument in
+    (-q/2, q/2], where exp is most accurate.  roots[0] == 1."""
     b = math.isqrt(q) + 1
     coarse = np.arange(0, q, b)
     coarse[2 * coarse > q] -= q
@@ -90,7 +96,7 @@ def dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     for t = 0..p-2 and dl[pw[t]] = t, so dl inverts pw on 1..p-1 (dl[0] = 0
     is a placeholder)."""
     pw = power_table(_primitive_root(p), p - 1, p)
-    dl = np.zeros(p, dtype=np.int64)
+    dl = np.zeros(p, dtype=pw.dtype)
     dl[pw] = np.arange(p - 1)
     return pw, dl
 
@@ -104,11 +110,10 @@ def dlog_tables(ps) -> tuple[np.ndarray, np.ndarray]:
     and dl[i, :p] is dlog_table(ps[i]); the primes are the caller's to have
     checked."""
     w = max(ps) - 1
-    pw = np.empty((len(ps), w), dtype=np.int32)
+    pw = power_table([_primitive_root(p) for p in ps], w, ps).astype(np.int32, copy=False)
     dl = np.zeros((len(ps), w + 1), dtype=np.int32)
     t = np.arange(w, dtype=np.int32)
     for i, p in enumerate(ps):
-        pw[i] = power_table(_primitive_root(p), w, p)
         dl[i, pw[i, :p - 1]] = t[:p - 1]
     return pw, dl
 

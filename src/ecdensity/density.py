@@ -404,7 +404,8 @@ def _dual_group_sums(grp: _DualGroup) -> list[tuple[float, int]]:
     kept count, so the kept cells form a staircase; it is contracted in one
     row block per _P1_BLOCK_CELLS kept cells, at most _P1_BLOCKS, each as
     wide as its widest row.  Everything but omega and the blocks is built
-    once for the group, from one characters.dlog_tables context."""
+    once for the group, from one characters.dlog_tables context; each
+    prime's omega is filled in place in one buffer for the group."""
     pi = np.array(grp.ps, dtype=np.int64)[:, None]
     pw, dl = dlog_tables(grp.ps)
     dk = np.take_along_axis(dl, (grp.cols + 1) % pi, axis=1)
@@ -424,6 +425,7 @@ def _dual_group_sums(grp: _DualGroup) -> list[tuple[float, int]]:
     ah = np.where(hmod == 0, 2 * (pi - 1), 3 * dh % (pi - 1)).astype(np.int32)
     bk = (-2 * dk.astype(np.int64) % (pi - 1)).astype(np.int32)
     out = []
+    buf = np.empty(3 * max(grp.ps) - 2, dtype=complex)  # each prime's omega, filled in place
     for i, p in enumerate(grp.ps):
         c = cuts[i]
         n = int(np.count_nonzero(c))
@@ -431,8 +433,12 @@ def _dual_group_sums(grp: _DualGroup) -> list[tuple[float, int]]:
         s_p = 0.0
         cells = 0
         if nblk:
-            wpow = roots_of_unity(p).conj()[pw[i, :p - 1]]
-            omega = np.concatenate((wpow, wpow, np.ones(p - 1), [0.0]))
+            omega = buf[:3 * p - 2]
+            wpow = roots_of_unity(p).take(pw[i, :p - 1], out=omega[:p - 1])
+            np.conjugate(wpow, out=wpow)
+            omega[p - 1:2 * p - 2] = wpow
+            omega[2 * p - 2:-1] = 1.0
+            omega[-1] = 0.0
         for j in range(nblk):
             lo, hi = j * n // nblk, (j + 1) * n // nblk
             width, low = int(c[lo]), int(c[hi - 1])

@@ -255,10 +255,14 @@ def twisted_closed_form(p: int, h: int, k: int) -> complex:
 
 
 def save_table(tab: FrobTable, path: str | Path) -> None:
-    payload = np.ascontiguousarray(tab.table, dtype="<i2").tobytes()
+    """Write the header, the table's own buffer and the CRC chained over
+    both, with no copy of the table in memory."""
+    payload = np.ascontiguousarray(tab.table, dtype="<i2")
     head = TABLE_MAGIC + struct.pack("<IQB", TABLE_VERSION, tab.p, 2)
-    body = head + payload
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 class TableFormatError(ValueError):
@@ -267,13 +271,14 @@ class TableFormatError(ValueError):
 
 def load_table(path: str | Path, p: int | None = None) -> FrobTable:
     """Read a cached table; any mismatch (magic, version, size, CRC, and the
-    header's prime when p is given) raises."""
+    header's prime when p is given) raises.  The file is read once, every
+    check runs on that buffer, and the table is a read-only view of it."""
     raw = Path(path).read_bytes()
     if len(raw) < 21:
         raise TableFormatError(f"{path}: truncated header")
-    if raw[:4] != TABLE_MAGIC:
+    if not raw.startswith(TABLE_MAGIC):
         raise TableFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, hp, width = struct.unpack("<IQB", raw[4:17])
+    version, hp, width = struct.unpack_from("<IQB", raw, 4)
     if version != TABLE_VERSION:
         raise TableFormatError(f"{path}: unsupported version {version}")
     if width != 2:
@@ -283,11 +288,11 @@ def load_table(path: str | Path, p: int | None = None) -> FrobTable:
     need = 17 + 2 * hp * hp + 4
     if len(raw) != need:
         raise TableFormatError(f"{path}: wrong length {len(raw)}, expected {need}")
-    (stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != stored:
+    (stored,) = struct.unpack_from("<I", raw, need - 4)
+    if zlib.crc32(memoryview(raw)[:-4]) != stored:
         raise TableFormatError(f"{path}: checksum mismatch")
-    table = np.frombuffer(raw[17:-4], dtype="<i2").reshape(hp, hp).astype(np.int16)
-    return FrobTable(int(hp), table)
+    table = np.frombuffer(raw, "<i2", count=hp * hp, offset=17).astype(np.int16, copy=False)
+    return FrobTable(int(hp), table.reshape(hp, hp))
 
 
 def table_path(p: int, directory: str | Path) -> Path:

@@ -1,6 +1,8 @@
 """The parent/change pairs script: its summary on fixed numbers."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,24 @@ def test_paths_of_different_lengths_are_refused(tmp_path):
     assert bench_pairs.same_length_paths(str(a), str(b)) == (a.resolve(), b.resolve())
     with pytest.raises(ValueError, match="differ in length"):
         bench_pairs.same_length_paths(str(a), str(tmp_path / "changed"))
+
+
+def test_a_run_reporting_incorrect_output_stops_the_pairs(tmp_path, monkeypatch):
+    # a stub benchmark in two checkouts: the parent's runs pass, the change's
+    # report "correct": false, so pair 1 stops before any medians are taken
+    spec = {"command": [sys.executable, "stub.py"], "run_seconds": 1,
+            "workloads": [{"name": "stub_wl"}], "end_to_end": METRICS}
+    for side, correct in (("parent", True), ("change", False)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+        record = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                  "metrics": {m["name"]: {"value": 1.0} for m in METRICS}}
+        (tmp_path / side / "stub.py").write_text(f"print({json.dumps(json.dumps(record))})\n")
+    assert bench_pairs.run_once(tmp_path / "parent", spec["command"], "stub_wl", 0, 1) == {
+        "peak_rss_mb": 1.0, "pass_frac": 1.0}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)  # where BENCH_<label>.json would go
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "stub"])
+    assert str(stop.value) == (f"bench_pairs: {tmp_path / 'change'}, workload stub_wl, pair 1/10: "
+                               "the run reported \"correct\": false (1 of 3 calls failed)")
+    assert not (tmp_path / "BENCH_stub.json").exists()

@@ -29,6 +29,7 @@ from ecdensity.characters import (
     gauss_sum,
     gauss_sum_matrix,
     is_primitive,
+    power_table,
     quadratic_gauss_bound_check,
     real_characters,
     roots_of_unity,
@@ -69,6 +70,7 @@ def test_dlog_table_is_a_power_permutation(rng):
     pytest.param(None, id="p1-primes-1e4"),
     pytest.param([2039, 2053], id="fft-length-boundary"),
     pytest.param([46337, 46349], id="int32-boundary"),
+    pytest.param([65537, 79427], id="int64-rows"),
 ])
 def test_dlog_tables_match_dlog_table(ps):
     # each padded row of the stacked context, cut to p, is the one-prime
@@ -86,6 +88,16 @@ def test_dlog_tables_match_dlog_table(ps):
             assert np.array_equal(dl[i, :p], want_dl) and not dl[i, p:].any()
             # past t = p - 2 the padded row cycles through the powers again
             assert np.array_equal(pw[i], want_pw[np.arange(pw.shape[1]) % (p - 1)])
+
+
+def test_power_table_rows_match_pow():
+    # stacked rows, one modulus each, on both sides of the int32 cutoff and
+    # at composite moduli; a scalar g and q give one 1-D row
+    for gs, qs in (([2, 3, 5], [46337, 46340, 9]), ([3, 7], [46341, 2_999_999_999])):
+        rows = power_table(gs, 1000, qs)
+        assert rows.dtype == (np.int32 if max(qs) < 46341 else np.int64)
+        assert rows.tolist() == [[pow(g, t, q) for t in range(1000)] for g, q in zip(gs, qs)]
+    assert power_table(5, 7, 12).tolist() == [pow(5, t, 12) for t in range(7)]
 
 
 def test_roots_of_unity_match_extended_precision():

@@ -3,7 +3,9 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -227,6 +229,41 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.table, tab.table)
 
 
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_table_is_one_read_and_a_view(tmp_path):
+    # one buffer as large as the file, and the table is a view of it
+    tab = lambda_table(631)
+    path = tmp_path / "t.frbt"
+    save_table(tab, path)
+    back, peak = _traced_peak(load_table, path, 631)
+    assert peak < 1.1 * path.stat().st_size
+    assert back.p == 631 and back.table.shape == (631, 631)
+    assert back.table.dtype == np.int16 and back.table.dtype.isnative
+    assert not back.table.flags.writeable
+    assert np.array_equal(back.table, tab.table)
+
+
+def test_save_table_writes_the_format_without_copies(tmp_path):
+    # the file is the header, the int16 payload and the CRC32 of both; the
+    # p = 631 table (0.76 MiB) is written with no copy of it in memory
+    for p in (29, 631):
+        tab = lambda_table(p)
+        path = tmp_path / f"t{p}.frbt"
+        _, peak = _traced_peak(save_table, tab, path)
+        body = b"FRBT" + struct.pack("<IQB", 2, p, 2) + tab.table.astype("<i2").tobytes()
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+    assert peak < 0.1 * path.stat().st_size
+
+
 def test_load_rejects_corruption(tmp_path):
     tab = lambda_table(11)
     path = tmp_path / "t.frbt"
@@ -251,6 +288,30 @@ def test_load_rejects_truncation_and_garbage(tmp_path):
     path.write_bytes(_v1_file(tab))
     with pytest.raises(TableFormatError, match="unsupported version 1"):
         load_table(path)
+
+
+def test_load_names_each_rejection(tmp_path):
+    tab = lambda_table(13)
+    path = tmp_path / "t.frbt"
+    save_table(tab, path)
+    good = path.read_bytes()
+
+    def edit(at, new):
+        return good[:at] + new + good[at + len(new):]
+
+    cases = [
+        (good[:20], {}, "truncated header"),
+        (edit(0, b"FRBX"), {}, "bad magic b'FRBX'"),
+        (edit(4, struct.pack("<I", 3)), {}, "unsupported version 3"),
+        (edit(16, b"\x04"), {}, "unsupported entry width 4"),
+        (good, {"p": 17}, "holds the table for p=13, not 17"),
+        (good + b"\x00", {}, f"wrong length {len(good) + 1}, expected {len(good)}"),
+        (edit(len(good) - 1, bytes([good[-1] ^ 1])), {}, "checksum mismatch"),
+    ]
+    for raw, kw, reason in cases:
+        path.write_bytes(raw)
+        with pytest.raises(TableFormatError, match=re.escape(f"{path}: {reason}")):
+            load_table(path, **kw)
 
 
 def test_get_table_uses_cache(tmp_path):

@@ -10,12 +10,14 @@ from, so paths of different lengths are refused.  For each workload of
 BENCHMARK.json and each of ten pairs, the script runs the benchmark command
 (`python3 bench/run.py --workload W --seed S --seconds T`, T the benchmark's
 run_seconds) once in each checkout, alternating which goes first, and reads
-the last JSON line of each run's stdout.  It writes BENCH_<label>.json at
-the root of the repository it lives in: per workload and end-to-end metric,
-both medians, the parent's interquartile range and the pairs the change won
-(a tie counts for neither), next to every run's values.  The script only
-runs the benchmark command; it reads and writes nothing under bench/
-itself.  Standard library only.
+the last JSON line of each run's stdout.  A run that exits non-zero or
+whose last line reports "correct": false stops the script with an error
+that names the checkout, the workload and the pair; otherwise it writes
+BENCH_<label>.json at the root of the repository it lives in: per workload
+and end-to-end metric, both medians, the parent's interquartile range and
+the pairs the change won (a tie counts for neither), next to every run's
+values.  The script only runs the benchmark command; it reads and writes
+nothing under bench/ itself.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def same_length_paths(parent: str, change: str) -> tuple[Path, Path]:
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
-    """The metrics of one benchmark run: {name: value} from its last JSON line."""
+    """The metrics of one benchmark run: {name: value} from its last JSON line.
+    RuntimeError when the run exits non-zero or reports "correct": false, so
+    no failed run's timings reach the medians."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -52,6 +56,9 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     record = json.loads(lines[-1])
+    if record.get("correct") is False:
+        raise RuntimeError(f"the run reported \"correct\": false ({record.get('failed')} of "
+                           f"{record.get('attempted')} calls failed)")
     return {k: v["value"] for k, v in record["metrics"].items()}
 
 
@@ -109,7 +116,10 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = parent if side == "parent" else change
-                runs[side].append(run_once(checkout, spec["command"], wl, args.seed, seconds))
+                try:
+                    runs[side].append(run_once(checkout, spec["command"], wl, args.seed, seconds))
+                except RuntimeError as exc:
+                    sys.exit(f"bench_pairs: {checkout}, workload {wl}, pair {i + 1}/{PAIRS}: {exc}")
             print(f"{wl} pair {i + 1}/{PAIRS} done", file=sys.stderr)
         summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
         result["workloads"][wl] = summary
