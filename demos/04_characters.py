@@ -12,17 +12,15 @@ import math
 from ecdensity import (
     char_order_and_conductor,
     cubic_structure_report,
-    enumerate_characters,
-    gauss_sum,
+    gauss_sum_matrix,
     is_primitive,
 )
 
 q = 21
-chars = enumerate_characters(q)
+chars, units, taus = gauss_sum_matrix(q)  # taus[j, i] = tau_a(chi_j) at a = units[i]
 print(f"modulus {q}: {len(chars)} characters")
-for chi in chars[:6]:
+for chi, tau in zip(chars[:6], taus[:6, 0]):  # units[0] = 1: the plain Gauss sum
     order, cond = char_order_and_conductor(chi)
-    tau = gauss_sum(chi)
     print(f"  order {order}  conductor {cond:2d}  primitive {is_primitive(chi)!s:5s}"
           f"  |tau| = {abs(tau):.4f}  (sqrt(q) = {math.sqrt(q):.4f})")
 

@@ -33,5 +33,5 @@ print(f"box {DEFAULT_BOX}: center weight w(0.75, 0.75) = {w.w(0.75, 0.75):.6f}")
 print(f"mass = {w.mass:.8f}")
 r = w.radius(0, 1e-8)
 print(f"first-axis transform drops below 1e-8 outside radius {r:.1f}")
-ys = np.abs(w.what_grid(np.array([r + 1.0, r + 5.0]), np.array([0.0])))
-print(f"  |what| just past it: {ys[0, 0]:.2e}, {ys[1, 0]:.2e}")
+ys = np.abs(w.axis_transform(0, np.array([r + 1.0, r + 5.0])) * w.axis_transform(1, 0.0))
+print(f"  |what| just past it: {ys[0]:.2e}, {ys[1]:.2e}")

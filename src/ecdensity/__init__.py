@@ -34,7 +34,6 @@ from .characters import (
     cubic_characters,
     cubic_structure_report,
     enumerate_characters,
-    gauss_sum,
     gauss_sum_matrix,
     is_primitive,
     real_characters,
@@ -66,7 +65,6 @@ from .frobenius import (
     TableFormatError,
     get_table,
     lambda_p,
-    lambda_p2,
     lambda_sq_total,
     lambda_table,
     load_table,

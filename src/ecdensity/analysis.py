@@ -69,6 +69,14 @@ def fejer_pair(nu: Fraction | str | float) -> TestFunctionPair:
     return TestFunctionPair(nu=nu)
 
 
+def explicit_rhs(pair: TestFunctionPair, log_n_over_log_x: float, prime_side: float) -> float:
+    """phihat(0) L + phi(0)/2 - prime_side, the right-hand side of the explicit
+    formula at L = log N/log X: density_report's assembled (L = C, prime side
+    (P1 + P2)/W) and predicted (L = 1, prime side 0), and the crosscheck's
+    rhs_lo, rhs and rhs_hi (L = log n/log X, prime side P1 + P2)."""
+    return pair.phihat0 * log_n_over_log_x + 0.5 * pair.phi0 - prime_side
+
+
 def _fejer_tail(w: float, x0: float, nu: float) -> float:
     """integral_{x0}^inf cos(2 pi w x) / (pi^2 nu x^2) dx, w >= 0."""
     from scipy.integrate import quad
@@ -281,9 +289,6 @@ class SmoothWeight:
     def what(self, u: float, v: float) -> complex:
         """2D transform value; conjugate-symmetric: what(-u,-v) = conj(what(u,v))."""
         return self._axis_scalar(0, u) * self._axis_scalar(1, v)
-
-    def what_grid(self, us, vs) -> np.ndarray:
-        return np.outer(self.axis_transform(0, us), self.axis_transform(1, vs))
 
     @property
     def mass(self) -> float:

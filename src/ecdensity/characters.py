@@ -91,24 +91,14 @@ def roots_of_unity(q: int) -> np.ndarray:
             * np.exp(2j * np.pi * np.arange(b) / q)).ravel()[:q]
 
 
-def dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pw, dl) mod an odd prime p, for g = _primitive_root(p): pw[t] = g^t
-    for t = 0..p-2 and dl[pw[t]] = t, so dl inverts pw on 1..p-1 (dl[0] = 0
-    is a placeholder)."""
-    pw = power_table(_primitive_root(p), p - 1, p)
-    dl = np.zeros(p, dtype=pw.dtype)
-    dl[pw] = np.arange(p - 1)
-    return pw, dl
-
-
 def dlog_tables(ps) -> tuple[np.ndarray, np.ndarray]:
-    """dlog_table for a list of odd primes at once, one int32 row per prime
-    padded to the widest (a table mod p holds p entries, so p < 2^31):
-    pw[i, t] = g^t mod ps[i] for t = 0..max(ps)-2, g = _primitive_root(ps[i])
-    (past t = p - 2 the powers cycle again), and dl[i] inverts pw[i] on
-    1..p-1, with 0 at residue 0 and past p - 1.  Row i cut to pw[i, :p-1]
-    and dl[i, :p] is dlog_table(ps[i]); the primes are the caller's to have
-    checked."""
+    """(pw, dl), the discrete-log tables of a list of odd primes, one int32
+    row per prime padded to the widest (a table mod p holds p entries, so
+    p < 2^31): pw[i, t] = g^t mod ps[i] for t = 0..max(ps)-2,
+    g = _primitive_root(ps[i]) (past t = p - 2 the powers cycle again), and
+    dl[i] inverts pw[i] on 1..p-1, so dl[i, pw[i, t]] = t, with 0 at residue
+    0 and past p - 1.  One prime's tables are dlog_tables([p]); the primes
+    are the caller's to have checked."""
     w = max(ps) - 1
     pw = power_table([_primitive_root(p) for p in ps], w, ps).astype(np.int32, copy=False)
     dl = np.zeros((len(ps), w + 1), dtype=np.int32)
@@ -317,14 +307,6 @@ def real_characters(q: int) -> list[DirichletCharacter]:
 # Gauss sums
 
 
-def gauss_sum(chi: DirichletCharacter, a: int = 1) -> complex:
-    """tau_a(chi) = sum over b mod q of chi(b) e(ab/q), at the modulus q."""
-    q = chi.q
-    vals = char_group(q).values([chi.e])[0]
-    n = np.arange(q)
-    return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * n / q)))
-
-
 def unit_twist(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, E): the units a mod q ascending (a = 0 when q = 1) and
     E[n, i] = e(n units[i] / q) for n = 0..q-1, so V @ E holds tau_a."""
@@ -333,9 +315,11 @@ def unit_twist(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_sum_matrix(q: int) -> tuple[list[DirichletCharacter], np.ndarray, np.ndarray]:
-    """tau_a(chi) for every character and every unit a, in one BLAS product.
+    """tau_a(chi) = sum over b mod q of chi(b) e(ab/q) for every character
+    and every unit a, in one BLAS product.
 
-    Returns (characters, units, T) with T[j, i] = tau_{units[i]}(chi_j).
+    Returns (characters, units, T) with T[j, i] = tau_{units[i]}(chi_j);
+    units[0] is 1 (0 when q = 1), so T[:, 0] holds the plain Gauss sums.
     """
     chars, V = character_table(q)
     units, E = unit_twist(q)

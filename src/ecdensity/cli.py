@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import DEFAULT_BOX
+from .analysis import DEFAULT_BOX, fejer_pair
 from .checks import IDENTITY_CHECKS
 from .curves import conductor
 from .density import (
@@ -79,8 +79,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("every X must exceed 1")
     if list(cfg.x) != sorted(cfg.x):
         raise ConfigError("X sweep must be ascending")
-    if not (0 < cfg.nu < 1):
-        raise ConfigError(f"nu = {cfg.nu} outside (0, 1)")
+    try:
+        fejer_pair(cfg.nu)  # its range of nu is the one check
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if not all(math.isfinite(v) for v in cfg.box):
         raise ConfigError(f"weight box {cfg.box} is not finite")
     x0, x1, y0, y1 = cfg.box

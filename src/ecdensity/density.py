@@ -28,7 +28,10 @@ block is built once, and timings["p2"] holds only the seconds of the P2
 contractions (their block builds count under timings["p1"]; when the
 chunks run in a process pool, p2 adds up the workers' seconds and p1 is the
 wall time of the whole pass).  p2_direct, which the dual route calls,
-builds the blocks of every P2 prime itself.
+builds the blocks of every P2 prime itself.  The process pool needs P1
+primes summing to _P1_POOL_WORK, so under method="auto" it never starts:
+auto takes the direct route only while X^nu <= TABLE_CAP, where they sum to
+at most 76,122; the pool serves forced "direct" and "both" runs.
 The dual route applies 2D Poisson summation per prime, turning the inner
 double sum into
 
@@ -50,9 +53,8 @@ per prime builds only its phase table and the staircase of row blocks; each
 built cell, with one real coefficient per column, also serves -h and -k, so
 the p1_cells count of built cells is about a quarter to a third of p1_terms
 and every prime's sum is real by construction (p1_imag_leak is 0.0).  On a
-shared 2-core host with one BLAS thread P1 takes 0.15-0.17 s at X = 1e5
-and 1.6-2.3 s at 1e6 (medians of 15 to 31 and of 5 in-process calls, in a
-quiet and in a busier hour).
+shared 2-core host with one BLAS thread P1 takes about 0.14 s at X = 1e5
+and 1.56 s at 1e6 (medians of 15 and of 5 in-process calls).
 
 Both routes and P2 read their primes and weights
 w_k(p) = phihat(k log p/log X) 2 log p/(p^k log X) from _prime_weights, and
@@ -73,12 +75,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, fejer_pair
+from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, explicit_rhs, fejer_pair
 from .arith import cube_kernel, divisors, legendre, pairwise_sum, psi4, runs, sieve_primes
 from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
                          roots_of_unity)
 from .curves import ConductorInfo, conductor, conductor_log_tiles
-from .frobenius import get_table, lambda_p, lambda_p2, sieved_blocks
+from .frobenius import get_table, lambda_p, sieved_blocks
 
 NU_PROVEN_LIMIT = Fraction(7, 10)
 DEFAULT_TAIL_TOL = 1e-9
@@ -205,6 +207,15 @@ def _prime_weights(f: FamilySpec, k: int) -> tuple[list[int], list[float]]:
     return ps[keep].tolist(), w.tolist()
 
 
+def _p2_weights(f: FamilySpec, primes: list[int]) -> dict[int, float]:
+    """w_2(p) by P2 prime; RuntimeError unless every P2 prime is among primes,
+    the P1 primes, so one pass over the P1 primes serves P2 as well."""
+    w2 = dict(zip(*_prime_weights(f, 2)))
+    if not w2.keys() <= set(primes):
+        raise RuntimeError("a P2 prime is not a P1 prime")
+    return w2
+
+
 # ---------------------------------------------------------------------------
 # P1, direct route
 
@@ -261,9 +272,7 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     contractions in stats["p2_s"]; stats["pooled"] says whether the chunks
     ran in the pool, where p2_s adds up the seconds of the workers."""
     primes, weights = _prime_weights(f, 1)
-    w2 = dict(zip(*_prime_weights(f, 2)))
-    if not w2.keys() <= set(primes):
-        raise RuntimeError("a P2 prime is not a P1 prime")
+    w2 = _p2_weights(f, primes)
     pairs = list(zip(primes, weights))
     chunks = [pairs[r.start:r.stop] for r in runs([1] * len(pairs), _P1_GROUP)]
     w2s = [{p: w2[p] for p, _ in c if p in w2} for c in chunks]
@@ -623,10 +632,8 @@ def density_report(f: FamilySpec, method: str = "auto") -> DensityReport:
     timings["conductor"] = time.perf_counter() - t0
     counts["conductor_primes"] = c_stats["primes"]
     counts["conductor_hits"] = c_stats["hits"]
-    phihat0 = f.phi.phihat0
-    phi0 = f.phi.phi0
-    assembled = phihat0 * c + 0.5 * phi0 - (p1 + p2) / w
-    predicted = phihat0 + 0.5 * phi0
+    assembled = explicit_rhs(f.phi, c, (p1 + p2) / w)
+    predicted = explicit_rhs(f.phi, 1.0, 0.0)
     return DensityReport(
         x=f.x,
         nu=f.nu,
@@ -830,12 +837,15 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
 # single-curve explicit formula against listed zeros
 
 
-def p1_single(a: int, b: int, f: FamilySpec) -> float:
-    return math.fsum(lambda_p(a, b, p) * w for p, w in zip(*_prime_weights(f, 1)))
-
-
-def p2_single(a: int, b: int, f: FamilySpec) -> float:
-    return math.fsum(lambda_p2(a, b, p) * w for p, w in zip(*_prime_weights(f, 2)))
+def _single_prime_side(a: int, b: int, f: FamilySpec) -> tuple[float, float]:
+    """(P1, P2) of the one curve (a, b) in one pass over the P1 primes, one
+    lambda_p point count each; the P2 primes are among them and take
+    lambda(p^2) = lambda(p)^2 - p from the same count."""
+    primes, weights = _prime_weights(f, 1)
+    w2 = _p2_weights(f, primes)
+    lams = [lambda_p(a, b, p) for p in primes]
+    return (math.fsum(lam * w for lam, w in zip(lams, weights)),
+            math.fsum((lam * lam - p) * w2[p] for p, lam in zip(primes, lams) if p in w2))
 
 
 @dataclass(frozen=True)
@@ -932,19 +942,19 @@ class CrosscheckReport:
 DEFAULT_BUDGET_C = 4.0
 
 
-def explicit_formula_crosscheck(zl: ZeroList, a: int, b: int, f: FamilySpec,
-                                budget_c: float = DEFAULT_BUDGET_C) -> CrosscheckReport:
+def explicit_formula_crosscheck(zl: ZeroList, a: int, b: int, f: FamilySpec) -> CrosscheckReport:
     """Sum phi over listed ordinates of one curve against the prime-side
-    explicit formula, with the conductor entering through its heuristic band.
+    explicit formula (analysis.explicit_rhs), with the conductor entering
+    through its heuristic band.
 
-    budget(X) = budget_c * (log X)^(-2/5); the residual is reported against
-    it, and the listed height must make the zero tail small next to it.
+    budget(X) = DEFAULT_BUDGET_C * (log X)^(-2/5); the residual is reported
+    against it, and the listed height must make the zero tail small next to it.
     """
     lx = f.log_x
     scale = lx / (2.0 * math.pi)
     info = conductor(a, b)
     nu = float(f.nu)
-    budget = budget_c * lx ** (-0.4)
+    budget = DEFAULT_BUDGET_C * lx ** (-0.4)
     tail = _zero_tail_bound(max(zl.height, 1e-9), math.log(info.n_hi), nu, scale)
     req = max(zl.height, 1e-9)
     while _zero_tail_bound(req, math.log(info.n_hi), nu, scale) > 0.1 * budget:
@@ -953,11 +963,9 @@ def explicit_formula_crosscheck(zl: ZeroList, a: int, b: int, f: FamilySpec,
         raise ZeroListTooShort(zl.height, req)
     lhs = math.fsum((1.0 if g < 1e-12 else 2.0) * float(f.phi.phi(g * scale))
                     for g in zl.gammas)
-    p1 = p1_single(a, b, f)
-    p2 = p2_single(a, b, f)
-    base = 0.5 * f.phi.phi0 - p1 - p2
-    rhs_at = lambda n: f.phi.phihat0 * math.log(n) / lx + base
-    rhs_lo, rhs, rhs_hi = rhs_at(info.n_lo), rhs_at(info.n), rhs_at(info.n_hi)
+    p1, p2 = _single_prime_side(a, b, f)
+    rhs_lo, rhs, rhs_hi = (explicit_rhs(f.phi, math.log(n) / lx, p1 + p2)
+                           for n in (info.n_lo, info.n, info.n_hi))
     gap = abs(lhs - rhs)
     if rhs_lo <= lhs <= rhs_hi:
         gap_band = 0.0
@@ -973,7 +981,7 @@ def explicit_formula_crosscheck(zl: ZeroList, a: int, b: int, f: FamilySpec,
         gap=gap,
         gap_band=gap_band,
         budget=budget,
-        budget_c=budget_c,
+        budget_c=DEFAULT_BUDGET_C,
         tail_bound=tail,
         required_height=req,
         conductor_info=info,

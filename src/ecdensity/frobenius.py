@@ -9,7 +9,7 @@ Residue rows come from one evaluator, sieved_blocks, which takes a list of
 primes the caller has sieved (lambda_rows is its one-prime call, which
 checks that p is prime):
 real-FFT linear correlations against the doubled Legendre sequence for the
-base rows 1 and g (g the primitive root of characters.dlog_table), plus
+base rows 1 and g (g the primitive root of characters.dlog_tables), plus
 row 0 only when some alpha = 0 (mod p) is asked for, and every other row by
 the quadratic twist lambda(d^2 alpha, d^3 beta) = (d/p) lambda(alpha, beta)
 (Silverman, AEC III.1) as one integer gather, so a full table costs three
@@ -78,12 +78,6 @@ def lambda_p(a: int, b: int, p: int) -> int:
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x + a % p * x + b) % p
     return -int(ls[vals].sum())
-
-
-def lambda_p2(a: int, b: int, p: int) -> int:
-    """lambda at p^2 under the lambda^2 - p convention (all p > 3)."""
-    lam = lambda_p(a, b, p)
-    return lam * lam - p
 
 
 @dataclass(frozen=True)

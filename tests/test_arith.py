@@ -22,7 +22,7 @@ from ecdensity.arith import (
     sieve_primes,
     smallest_factor_table,
 )
-from ecdensity.characters import dlog_table
+from ecdensity.characters import dlog_tables
 
 
 def test_sieve_matches_known_counts():
@@ -102,8 +102,8 @@ def test_factorize_seeds_rho_only_when_rho_runs(monkeypatch):
         raise AssertionError("random.Random built although rho never ran")
     monkeypatch.setattr("ecdensity.arith.random.Random", refuse)
     assert factorize(79426).factors == ((2, 1), (151, 1), (263, 1))
-    pw, dl = dlog_table(631)
-    assert sorted(pw) == list(range(1, 631))
+    pw, dl = dlog_tables([631])
+    assert sorted(pw[0]) == list(range(1, 631))
 
 
 def test_legendre_known_and_euler(rng):

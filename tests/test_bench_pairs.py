@@ -31,6 +31,31 @@ def test_summary_on_fixed_numbers():
     # higher is better: four ties and one loss win nothing
     assert frac["won"] == 0 and frac["change_median"] == 1.0 and frac["parent_iqr"] == 0.0
     assert rss["parent"] == [42.0, 42.5, 41.0, 43.0, 42.25]
+    # 3 of 5 pairs claim no gain however far the medians moved; 5.25 MiB
+    # lower is no regression, and neither is pass_frac's unchanged median
+    assert (rss["gain"], rss["regressed"]) == (False, False)
+    assert (frac["gain"], frac["regressed"]) == (False, False)
+    assert bench_pairs.summary_line("w", "peak_rss_mb", rss) == (
+        "w              peak_rss_mb  42.25 -> 37 MiB (parent IQR 0.5, won 3/5) "
+        "gain=False regressed=False")
+
+
+@pytest.mark.parametrize("shift, frac, gain, regressed", [
+    pytest.param(-2.0, 1.0, True, False, id="gain"),
+    pytest.param(-0.25, 1.0, False, False, id="won-all-inside-iqr"),
+    pytest.param(4.0, 1.0, False, False, id="worse-inside-bound"),
+    pytest.param(4.5, 0.98, False, True, id="regressed"),
+])
+def test_verdicts_on_fixed_numbers(shift, frac, gain, regressed):
+    # peak_rss_mb, lower is better: parent median 42.25 and IQR 0.5, so a
+    # gain needs all 5 pairs (9 of 10 scaled to 5) and a median more than 0.5
+    # lower; the bound 0.1 makes a median above 46.475 a regression.
+    # pass_frac, higher is better: 0.98 against 1.0 is worse by more than 0.01
+    parent = [{"peak_rss_mb": v, "pass_frac": 1.0} for v in (42.0, 42.5, 41.0, 43.0, 42.25)]
+    change = [{"peak_rss_mb": r["peak_rss_mb"] + shift, "pass_frac": frac} for r in parent]
+    s = bench_pairs.summarize(parent, change, METRICS)
+    assert (s["peak_rss_mb"]["gain"], s["peak_rss_mb"]["regressed"]) == (gain, regressed)
+    assert (s["pass_frac"]["gain"], s["pass_frac"]["regressed"]) == (False, frac < 1.0)
 
 
 def test_paths_of_different_lengths_are_refused(tmp_path):

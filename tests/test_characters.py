@@ -23,10 +23,8 @@ from ecdensity.characters import (
     count_cube_roots,
     cubic_characters,
     cubic_structure_report,
-    dlog_table,
     dlog_tables,
     enumerate_characters,
-    gauss_sum,
     gauss_sum_matrix,
     is_primitive,
     power_table,
@@ -55,9 +53,20 @@ def test_unit_group_basis_mod_8():
     assert gens == {7, 5} or gens == {3, 5}  # -1 and 5 up to choice
 
 
+def _dlog_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """One prime's (pw, dl) from Python's pow alone, sharing no code with the
+    stacked builder: pw[t] = g^t mod p and dl[pw[t]] = t, dl[0] = 0."""
+    g = _primitive_root(p)
+    pw = np.array([pow(g, t, p) for t in range(p - 1)])
+    dl = np.zeros(p, dtype=np.int64)
+    dl[pw] = np.arange(p - 1)
+    return pw, dl
+
+
 def test_dlog_table_is_a_power_permutation(rng):
+    # one prime's tables are the single row of dlog_tables([p])
     for p in [p for p in range(5, 2000) if is_prime(p)] + [79_427]:
-        pw, dl = dlog_table(p)
+        pw, dl = (t[0] for t in dlog_tables([p]))
         units = np.arange(1, p)
         assert np.array_equal(np.sort(pw), units)
         assert np.array_equal(pw[dl[units]], units)
@@ -74,7 +83,8 @@ def test_dlog_table_is_a_power_permutation(rng):
 ])
 def test_dlog_tables_match_dlog_table(ps):
     # each padded row of the stacked context, cut to p, is the one-prime
-    # table; family(1e4)'s P1 primes go in the P1 routes' groups of 16
+    # table built by pow; family(1e4)'s P1 primes go in the P1 routes' groups
+    # of 16, and rows past 46,341 are built in int64
     if ps is None:
         primes = _prime_weights(family(1e4), 1)[0]
         groups = [primes[r.start:r.stop] for r in runs([1] * len(primes), _P1_GROUP)]
@@ -84,7 +94,7 @@ def test_dlog_tables_match_dlog_table(ps):
         pw, dl = dlog_tables(group)
         assert pw.shape == (len(group), max(group) - 1) and dl.shape == (len(group), max(group))
         for i, p in enumerate(group):
-            want_pw, want_dl = dlog_table(p)
+            want_pw, want_dl = _dlog_table(p)
             assert np.array_equal(dl[i, :p], want_dl) and not dl[i, p:].any()
             # past t = p - 2 the padded row cycles through the powers again
             assert np.array_equal(pw[i], want_pw[np.arange(pw.shape[1]) % (p - 1)])
@@ -258,46 +268,42 @@ def test_real_characters_match_jacobi():
 
 
 def test_gauss_sum_values():
-    # principal character mod q: tau = mu(q) (Ramanujan sum at 1)
+    # principal character mod q (first in order): tau = mu(q), the Ramanujan
+    # sum at a = 1, which is units[0]
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1}
     for q, m in mu.items():
-        assert abs(gauss_sum(principal_character(q)) - m) < 1e-9
+        chars, units, T = gauss_sum_matrix(q)
+        assert chars[0] == principal_character(q) and units[0] == (0 if q == 1 else 1)
+        assert abs(T[0, 0] - m) < 1e-9
     # primitive characters: |tau| = sqrt(q)
     for q in (5, 7, 9, 11, 16):
-        for chi in enumerate_characters(q):
+        chars, _, T = gauss_sum_matrix(q)
+        for chi, tau in zip(chars, T[:, 0]):
             if is_primitive(chi):
-                assert abs(abs(gauss_sum(chi)) - math.sqrt(q)) < 1e-9
+                assert abs(abs(tau) - math.sqrt(q)) < 1e-9
 
 
-def test_gauss_sum_twisted_relation(rng):
-    # primitive chi: tau_a(chi) = conj(chi)(a) tau(chi) for gcd(a, q) = 1
+def test_gauss_sum_twisted_relation():
+    # primitive chi: tau_a(chi) = conj(chi)(a) tau(chi) at every unit a
     for q in (7, 9, 16):
-        for chi in enumerate_characters(q):
-            if not is_primitive(chi):
-                continue
-            a = rng.choice([n for n in range(1, q) if gcd(n, q) == 1])
-            lhs = gauss_sum(chi, a)
-            rhs = char_eval(chi, a).conjugate() * gauss_sum(chi)
-            assert abs(lhs - rhs) < 1e-9
+        chars, units, T = gauss_sum_matrix(q)
+        for chi, taus in zip(chars, T):
+            if is_primitive(chi):
+                for a, tau_a in zip(units.tolist(), taus):
+                    assert abs(tau_a - char_eval(chi, a).conjugate() * taus[0]) < 1e-9
 
 
 def test_gauss_sum_matches_brute_sum():
     # independent of the shared value table: scalar char_eval and cmath.exp
     for q in (1, 2, 7, 12, 16, 21, 36):
-        for chi in enumerate_characters(q):
-            for a in range(q + 2):
-                brute = sum(char_eval(chi, b) * cmath.exp(2j * math.pi * a * b / q)
-                            for b in range(q))
-                assert abs(gauss_sum(chi, a) - brute) < 1e-9
-
-
-def test_gauss_sum_matrix_matches_scalar():
-    for q in (1, 2, 12, 21):
         chars, units, T = gauss_sum_matrix(q)
         assert T.shape == (len(chars), len(units))
-        for j, chi in enumerate(chars):
-            for i, a in enumerate(units):
-                assert abs(T[j, i] - gauss_sum(chi, int(a))) < 1e-9
+        assert units.tolist() == ([0] if q == 1 else [a for a in range(q) if gcd(a, q) == 1])
+        for chi, taus in zip(chars, T):
+            for a, tau_a in zip(units.tolist(), taus):
+                brute = sum(char_eval(chi, b) * cmath.exp(2j * math.pi * a * b / q)
+                            for b in range(q))
+                assert abs(tau_a - brute) < 1e-9
 
 
 def test_quadratic_gauss_bound(rng):

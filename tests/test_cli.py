@@ -128,8 +128,17 @@ def test_density_both_methods_cross_validate(capsys):
     assert "dual-path gap" in captured.err
 
 
+def test_density_accepts_nu_1(capsys):
+    # fejer_pair's range (0, 1] is the one check on nu, so nu = 1 runs, with
+    # the warning that the density limit is unproven past 7/10
+    assert main(["density", "--x", "250", "--nu", "1"]) == 0
+    assert "warning: nu = 1 exceeds 7/10" in capsys.readouterr().err
+
+
 def test_density_bad_flags_exit_2(capsys):
     assert main(["density", "--x", "250", "--nu", "5/3"]) == 2
+    assert main(["density", "--x", "250", "--nu", "0"]) == 2
+    assert "config error: nu must lie in (0, 1], got 0" in capsys.readouterr().err
     assert main(["density", "--x", "250", "--box", "1", "0.5", "0.5", "1"]) == 2
     assert main(["density", "--x", "0.5"]) == 2
     capsys.readouterr()

@@ -34,6 +34,7 @@ from ecdensity.density import (
     _lattice_blocks,
     _prime_weights,
     _p1_direct_chunk,
+    _single_prime_side,
     check_lattice,
     conductor_term,
     density_report,
@@ -43,10 +44,8 @@ from ecdensity.density import (
     g_dyadic,
     p1_direct,
     p1_poisson,
-    p1_single,
     p2_direct,
     p2_predicted_over_w,
-    p2_single,
     parse_zero_file,
     poisson_term_count,
     q_dk_chi,
@@ -281,20 +280,31 @@ def test_p1_pool_keeps_the_serial_bits(fam_1e3, monkeypatch):
     assert stats["cells"] > 0
 
 
-def test_p1_single_and_p2_single_match_brute(fam_250):
+def test_single_prime_side_matches_brute(fam_250):
     f = fam_250
     lx = f.log_x
     for a, b in ((-16, 16), (1, 1)):
+        p1, p2 = _single_prime_side(a, b, f)
         want1 = 0.0
         for p in _primes_upto(int(f.x ** 0.7) + 2):
             ph = max(0.0, 1.0 - math.log(p) / lx / 0.7)
             want1 += _lam(a, b, p) * ph * 2.0 * math.log(p) / (p * lx)
-        assert p1_single(a, b, f) == pytest.approx(want1, rel=1e-12)
+        assert p1 == pytest.approx(want1, rel=1e-12)
         want2 = 0.0
         for p in _primes_upto(int(f.x ** 0.35) + 2):
             ph = max(0.0, 1.0 - 2.0 * math.log(p) / lx / 0.7)
             want2 += (_lam(a, b, p) ** 2 - p) * ph * 2.0 * math.log(p) / (p * p * lx)
-        assert p2_single(a, b, f) == pytest.approx(want2, rel=1e-12)
+        assert p2 == pytest.approx(want2, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, p1, p2", [
+    pytest.param(1e3, "-0.39734920861766104", "-0.019035433364034383", id="1e3"),
+    pytest.param(1e4, "-0.4280540779083526", "-0.026102293358851496", id="1e4"),
+])
+def test_single_prime_side_pinned(x, p1, p2):
+    # the values of the separate P1 and P2 sums, each counting points at its
+    # own primes, which the one pass keeps bit for bit
+    assert tuple(map(repr, _single_prime_side(-16, 16, family(x)))) == (p1, p2)
 
 
 def test_direct_term_count(fam_1e3):

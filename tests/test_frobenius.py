@@ -17,7 +17,6 @@ from ecdensity.frobenius import (
     TableFormatError,
     get_table,
     lambda_p,
-    lambda_p2,
     lambda_rows,
     lambda_sq_total,
     lambda_table,
@@ -57,14 +56,6 @@ def test_lambda_p_rejects_small_primes():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):
             lambda_p(1, 1, p)
-
-
-def test_lambda_p2_relation(rng):
-    # lambda(p^2) = lambda(p)^2 - p for every curve, singular or not
-    for _ in range(60):
-        p = rng.choice(PRIMES)
-        a, b = rng.randrange(p), rng.randrange(p)
-        assert lambda_p2(a, b, p) == lambda_p(a, b, p) ** 2 - p
 
 
 def test_table_matches_brute_force():

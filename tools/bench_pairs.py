@@ -14,10 +14,14 @@ the last JSON line of each run's stdout.  A run that exits non-zero or
 whose last line reports "correct": false stops the script with an error
 that names the checkout, the workload and the pair; otherwise it writes
 BENCH_<label>.json at the root of the repository it lives in: per workload
-and end-to-end metric, both medians, the parent's interquartile range and
-the pairs the change won (a tie counts for neither), next to every run's
-values.  The script only runs the benchmark command; it reads and writes
-nothing under bench/ itself.  Standard library only.
+and end-to-end metric, both medians, the parent's interquartile range, the
+pairs the change won (a tie counts for neither) and two verdicts, next to
+every run's values.  `gain` holds when the change won at least 9 of 10
+pairs and its median beats the parent's by more than the parent's IQR;
+`regressed` holds when its median is worse than the parent's by more than
+the metric's bound times the parent's median.  The script only runs the
+benchmark command; it reads and writes nothing under bench/ itself.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+GAIN_SHARE = 0.9  # of the pairs the change must win to claim a gain
 
 
 def same_length_paths(parent: str, change: str) -> tuple[Path, Path]:
@@ -72,20 +77,31 @@ def iqr(values: list[float]) -> float:
 
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """Per metric of `metrics` (BENCHMARK.json's end_to_end entries): both
-    medians, the parent's IQR and the pairs the change won, run i of parent
-    paired with run i of change."""
+    medians, the parent's IQR, the pairs the change won, run i of parent
+    paired with run i of change, and the verdicts `gain` and `regressed`
+    (None when the metric has no bound)."""
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
         pv = [r[name] for r in parent]
         cv = [r[name] for r in change]
-        won = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
-        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
-                     "parent_median": statistics.median(pv),
-                     "change_median": statistics.median(cv),
-                     "parent_iqr": iqr(pv), "pairs": len(pv), "won": won,
+        pm, cm, spread = statistics.median(pv), statistics.median(cv), iqr(pv)
+        won = sum(sign * (p - c) > 0 for p, c in zip(pv, cv))
+        bound = m.get("bound")
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": bound,
+                     "parent_median": pm, "change_median": cm,
+                     "parent_iqr": spread, "pairs": len(pv), "won": won,
+                     "gain": won >= GAIN_SHARE * len(pv) and sign * (pm - cm) > spread,
+                     "regressed": None if bound is None else sign * (cm - pm) > bound * pm,
                      "parent": pv, "change": cv}
     return out
+
+
+def summary_line(workload: str, name: str, s: dict) -> str:
+    """One metric's summary as the script prints it."""
+    return (f"{workload:14s} {name:12s} {s['parent_median']:.4g} -> {s['change_median']:.4g} "
+            f"{s['unit']} (parent IQR {s['parent_iqr']:.3g}, won {s['won']}/{s['pairs']}) "
+            f"gain={s['gain']} regressed={s['regressed']}")
 
 
 def main(argv=None) -> int:
@@ -124,8 +140,7 @@ def main(argv=None) -> int:
         summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
         result["workloads"][wl] = summary
         for name, s in summary.items():
-            print(f"{wl:14s} {name:12s} {s['parent_median']:.4g} -> {s['change_median']:.4g} "
-                  f"{s['unit']} (parent IQR {s['parent_iqr']:.3g}, won {s['won']}/{s['pairs']})")
+            print(summary_line(wl, name, s))
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
