@@ -203,7 +203,11 @@ def test_what_factorizes_and_conjugates():
     assert w.what(-u, -v) == pytest.approx(w.what(u, v).conjugate(), rel=1e-12)
     assert w.mass > 0
     assert w.mass == pytest.approx(w.axis_mass(0) * w.axis_mass(1), rel=1e-12)
-    # axis_transform on arrays gives the same values as the scalar what
+
+
+def test_what_grid_matches_scalar():
+    # axis_transform on arrays, outer product, against the scalar what
+    w = SmoothWeight()
     us = np.array([0.0, 0.5, -1.2])
     vs = np.array([0.3, 2.0])
     grid = np.outer(w.axis_transform(0, us), w.axis_transform(1, vs))

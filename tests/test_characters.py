@@ -297,13 +297,21 @@ def test_gauss_sum_matches_brute_sum():
     # independent of the shared value table: scalar char_eval and cmath.exp
     for q in (1, 2, 7, 12, 16, 21, 36):
         chars, units, T = gauss_sum_matrix(q)
-        assert T.shape == (len(chars), len(units))
-        assert units.tolist() == ([0] if q == 1 else [a for a in range(q) if gcd(a, q) == 1])
         for chi, taus in zip(chars, T):
             for a, tau_a in zip(units.tolist(), taus):
                 brute = sum(char_eval(chi, b) * cmath.exp(2j * math.pi * a * b / q)
                             for b in range(q))
                 assert abs(tau_a - brute) < 1e-9
+
+
+def test_gauss_sum_matrix_matches_scalar():
+    # rows follow the scalar enumerate_characters, columns the units of q in
+    # order; test_gauss_sum_matches_brute_sum checks every entry
+    for q in (1, 2, 12, 21):
+        chars, units, T = gauss_sum_matrix(q)
+        assert chars == enumerate_characters(q)
+        assert units.tolist() == ([0] if q == 1 else [a for a in range(q) if gcd(a, q) == 1])
+        assert T.shape == (len(chars), len(units))
 
 
 def test_quadratic_gauss_bound(rng):
