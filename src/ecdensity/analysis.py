@@ -205,8 +205,8 @@ class SmoothWeight:
 
     def __init__(self, box: tuple[float, float, float, float] = DEFAULT_BOX):
         x0, x1, y0, y1 = box
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate box {box}")
+        if not (x0 < x1 and y0 < y1 and all(map(math.isfinite, box))):
+            raise ValueError(f"invalid weight box {box}")
         self.box = tuple(float(t) for t in box)
         g, w, _ = _unit_bump_constants()
         half = slice(GL_NODES // 2, None)  # the nodes g > 0
@@ -223,7 +223,6 @@ class SmoothWeight:
             self._half.append((0.5 * (lo + hi), 0.5 * s * g[half],
                                wf[half] + wf[half.start - 1::-1]))
             self._env.append(self._axis_envelope(lo, hi))
-        self._cache: tuple[dict, dict] = ({}, {})
 
     @staticmethod
     def _axis_envelope(lo: float, hi: float):
@@ -277,18 +276,9 @@ class SmoothWeight:
         v = cos * outer[..., -1:] * inner[:, None, :, -1]
         return v.reshape(steps.size, -1)[:, : n + 1]
 
-    def _axis_scalar(self, i: int, u: float) -> complex:
-        key = round(float(u), 12)
-        cache = self._cache[i]
-        val = cache.get(key)
-        if val is None:
-            val = complex(self.axis_transform(i, float(u)))
-            cache[key] = val
-        return val
-
     def what(self, u: float, v: float) -> complex:
         """2D transform value; conjugate-symmetric: what(-u,-v) = conj(what(u,v))."""
-        return self._axis_scalar(0, u) * self._axis_scalar(1, v)
+        return complex(self.axis_transform(0, float(u))) * complex(self.axis_transform(1, float(v)))
 
     @property
     def mass(self) -> float:
@@ -296,13 +286,13 @@ class SmoothWeight:
         return float(self.what(0.0, 0.0).real)
 
     def axis_mass(self, i: int) -> float:
-        return float(abs(self._axis_scalar(i, 0.0)))
+        return float(abs(complex(self.axis_transform(i, 0.0))))
 
     def radius(self, i: int, thresh: float) -> float:
         """Least grid frequency r with |axis transform| < thresh beyond r;
-        ValueError when the envelope never falls below thresh."""
+        ValueError when the envelope never falls below thresh or thresh is NaN."""
         du, env = self._env[i]
-        if thresh <= env[-1]:
+        if not thresh > env[-1]:  # so a NaN thresh fails too
             raise ValueError(f"axis {i} transform not certified below {env[-1]:.3g}, "
                              f"asked for {thresh:.3g}")
         j = int(np.argmax(env < thresh))

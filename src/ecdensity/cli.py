@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import DEFAULT_BOX, fejer_pair
+from .analysis import DEFAULT_BOX, SmoothWeight, fejer_pair
 from .checks import IDENTITY_CHECKS
 from .curves import conductor
 from .density import (
@@ -79,15 +79,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("every X must exceed 1")
     if list(cfg.x) != sorted(cfg.x):
         raise ConfigError("X sweep must be ascending")
-    try:
-        fejer_pair(cfg.nu)  # its range of nu is the one check
+    try:  # the range of nu and the box's order and finiteness each have one check
+        fejer_pair(cfg.nu)
+        SmoothWeight(cfg.box)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if not all(math.isfinite(v) for v in cfg.box):
-        raise ConfigError(f"weight box {cfg.box} is not finite")
-    x0, x1, y0, y1 = cfg.box
-    if not (x0 < x1 and y0 < y1):
-        raise ConfigError(f"invalid weight box {cfg.box}")
     if cfg.method not in _METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.threads < 1:
@@ -110,20 +106,18 @@ def _box(text: str) -> tuple[float, ...]:
     return parts
 
 
-# Every RunConfig field, in render order: the text parser that both the
-# config file and the flag use, the renderer, and the flag's argparse keywords
-# (a flag's words are joined by spaces before parsing).
+# Every RunConfig field: the text parser that both the config file and the
+# flag use, and the flag's argparse keywords (a flag's words are joined by
+# spaces before parsing).
 _SETTINGS = {
-    "x": (_numbers, lambda v: " ".join(map(repr, v)),
-          {"nargs": "+", "metavar": "X", "help": "family size sweep"}),
-    "nu": (Fraction, str, {"help": "support parameter, fraction or decimal"}),
-    "box": (_box, lambda v: ",".join(map(repr, v)),
-            {"nargs": 4, "metavar": ("X0", "X1", "Y0", "Y1")}),
-    "method": (str, str, {"help": " | ".join(_METHODS)}),
-    "seed": (int, str, {}),
-    "threads": (int, str, {}),
-    "tail_tol": (float, repr, {}),
-    "out": (str, str, {"metavar": "PREFIX", "help": "output file prefix"}),
+    "x": (_numbers, {"nargs": "+", "metavar": "X", "help": "family size sweep"}),
+    "nu": (Fraction, {"help": "support parameter, fraction or decimal"}),
+    "box": (_box, {"nargs": 4, "metavar": ("X0", "X1", "Y0", "Y1")}),
+    "method": (str, {"help": " | ".join(_METHODS)}),
+    "seed": (int, {}),
+    "threads": (int, {}),
+    "tail_tol": (float, {}),
+    "out": (str, {"metavar": "PREFIX", "help": "output file prefix"}),
 }
 
 # The settings each subcommand reads, as flags and config keys; the rest keep their defaults.
@@ -165,13 +159,6 @@ def _read_config(text: str, command: str | None) -> dict:
 def parse_config(text: str) -> RunConfig:
     """The validated RunConfig of a config file's text (see _read_config)."""
     return validate_config(RunConfig(**_read_config(text, None)))
-
-
-def render_config(cfg: RunConfig) -> str:
-    """The config file parse_config reads back as cfg; unset paths omitted."""
-    return "".join(f"{key} = {render(getattr(cfg, key))}\n"
-                   for key, (_, render, _) in _SETTINGS.items()
-                   if getattr(cfg, key) is not None)
 
 
 def _diag(msg: str) -> None:
@@ -363,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, sp in sub.choices.items():
         sp.add_argument("--config", metavar="PATH", help="key=value config file")
         for key in _COMMAND_KEYS[command]:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_SETTINGS[key][2])
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_SETTINGS[key][1])
     return parser
 
 

@@ -77,8 +77,7 @@ import numpy as np
 
 from .analysis import DEFAULT_BOX, SmoothWeight, TestFunctionPair, bump, explicit_rhs, fejer_pair
 from .arith import cube_kernel, divisors, legendre, pairwise_sum, psi4, runs, sieve_primes
-from .characters import (DirichletCharacter, char_eval, character_table, dlog_tables,
-                         roots_of_unity)
+from .characters import character_table, dlog_tables, gauss_sum_matrix, roots_of_unity
 from .curves import ConductorInfo, conductor, conductor_log_tiles
 from .frobenius import get_table, lambda_p, sieved_blocks
 
@@ -751,50 +750,39 @@ def s_hkp_direct(h_size: float, k_size: float, p_size: float, f: FamilySpec) -> 
     return complex(total)
 
 
-def q_dk_chi(d: int, k: int, chi: DirichletCharacter,
-             h_size: float, k_size: float, p_size: float, f: FamilySpec) -> complex:
-    """Inner block of the character expansion at divisor d | k^2:
+def q_dk_chi(d: int, k: int, h_size: float, k_size: float, p_size: float,
+             f: FamilySpec) -> np.ndarray:
+    """Inner blocks of the character expansion at divisor d | k^2, one per
+    character mod q = k^2/d in character_table order:
 
-    Q = sum_{p ~ P} sum_{h ~ H/d0} psi4(p) chi(p) (k/p) conj(chi)(h)^3
-          e(-h^3 d0^3/(p k^2)) U,
+    Q(chi) = sum_{p ~ P} sum_{h ~ H/d0} chi(p) conj(chi)(h)^3 M[p, h],
+    M[p, h] = psi4(p) (k/p) e(-h^3 d0^3/(p k^2)) U,
     U = g(h d0/H) g(k/K) g(p/P) what(h d0 A/p, k B/p) (log p / p^{3/2}),
 
     where d0 is the least integer with d | d0^3.  The weight matches the
-    literal block of s_hkp_direct term for term (h there = h d0 here).
+    literal block of s_hkp_direct term for term (h there = h d0 here).  M
+    does not depend on chi, so with V the character table mod q every Q is
+    one contraction, Q = sum_{p,h} V[:, p] M[p, h] conj(V[:, h])^3.  The
+    phase reads (h d0)^3 mod p k^2, exact in int64 while p k^2 < 3e9.
     """
     k2 = k * k
     if k2 % d != 0:
         raise ValueError(f"d = {d} must divide k^2 = {k2}")
-    d0 = cube_kernel(d)
-    a_sc, b_sc = f.a_scale, f.b_scale
+    q, d0 = k2 // d, cube_kernel(d)
+    table = character_table(q)[1]
     hs = _dyadic_ints(h_size / d0, 2 * h_size / d0)
-    ps = [p for p in sieve_primes(int(2 * p_size)) if p > max(3, p_size)]
-    gk = float(g_dyadic(k / k_size))
-    if gk == 0.0 or hs.size == 0:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for p in ps:
-        gp = float(g_dyadic(p / p_size))
-        if gp == 0.0 or k % p == 0:
-            continue
-        chip = char_eval(chi, p)
-        if chip == 0.0:
-            continue
-        lk = legendre(int(k), p)
-        cp = psi4(p) * chip * lk * gp * gk * math.log(p) / p**1.5
-        mod = p * k2
-        for h in hs:
-            ghv = float(g_dyadic(h * d0 / h_size))
-            if ghv == 0.0:
-                continue
-            chih = char_eval(chi, int(h))
-            if chih == 0.0:
-                continue
-            t = pow(int(h), 3, mod) * pow(d0, 3, mod) % mod
-            wv = f.weight.what(h * d0 * a_sc / p, k * b_sc / p)
-            total += (cp * chih.conjugate() ** 3 * ghv * wv
-                      * np.exp(-2j * np.pi * t / mod))
-    return complex(total)
+    primes = [p for p in sieve_primes(int(2 * p_size)) if p > max(3, p_size) and k % p]
+    ps = np.array(primes, dtype=np.int64)
+    cp = np.array([psi4(p) * legendre(k, p) * math.log(p) / p**1.5 for p in primes],
+                  dtype=complex)
+    cp *= g_dyadic(ps / p_size) * g_dyadic(k / k_size) * f.weight.axis_transform(
+        1, k * f.b_scale / ps)
+    hd, mod = hs * d0, (ps * k2)[:, None]  # h of the literal block, and the phase's modulus
+    t = hd % mod
+    t = t * t % mod * t % mod
+    m = (cp[:, None] * g_dyadic(hd / h_size) * np.exp(-2j * np.pi * t / mod)
+         * f.weight.axis_transform(0, hd * f.a_scale / ps[:, None]))
+    return (table[:, ps % q] * (table[:, hs % q].conj() ** 3 @ m.T)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -811,24 +799,21 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
     sum_{k ~ K} sum_{d | k^2} (1/phi(k^2/d)) sum_{chi mod k^2/d}
         tau(chi) conj(chi)(d0^3/d) Q(d, k, chi),
 
-    with tau the modulus-level Gauss sum.  Strata whose d0^3/d shares a
-    factor with k^2/d contribute 0 through conj(chi)(d0^3/d).
+    with tau the modulus-level Gauss sum, the first column of
+    gauss_sum_matrix(q), and every Q of one (d, k) the one array of
+    q_dk_chi.  Strata whose d0^3/d shares a factor with k^2/d contribute 0
+    through conj(chi)(d0^3/d), so they are skipped.
     """
     lhs = s_hkp_direct(h_size, k_size, p_size, f)
     rhs = 0.0 + 0.0j
-    for k in _dyadic_ints(k_size, 2 * k_size):
-        k2 = int(k * k)
-        for d in divisors(k2):
-            q = k2 // d
-            d0 = cube_kernel(d)
-            chars, table = character_table(q)
-            taus = table @ roots_of_unity(q)
-            factors = table[:, d0**3 // d % q].conj()
-            for chi, tau, factor in zip(chars, taus, factors):
-                if factor == 0.0 or abs(tau) < 1e-15:
-                    continue
-                qv = q_dk_chi(d, int(k), chi, h_size, k_size, p_size, f)
-                rhs += tau * factor * qv / len(chars)
+    for k in map(int, _dyadic_ints(k_size, 2 * k_size)):
+        for d in divisors(k * k):
+            q, c = k * k // d, cube_kernel(d) ** 3 // d
+            if math.gcd(c, q) > 1:
+                continue
+            taus = gauss_sum_matrix(q)[2][:, 0]
+            factors = character_table(q)[1][:, c % q].conj()
+            rhs += taus * factors @ q_dk_chi(d, k, h_size, k_size, p_size, f) / len(taus)
     scale = max(abs(lhs), 1e-300)
     return ExpansionCheck(complex(lhs), complex(rhs), abs(lhs - rhs) / scale)
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ecdensity.characters import DirichletCharacter, char_group
+from ecdensity.arith import cube_kernel, legendre, psi4, sieve_primes
+from ecdensity.characters import DirichletCharacter, char_eval, char_group
+from ecdensity.density import _dyadic_ints, g_dyadic
 
 
 @dataclass(frozen=True)
@@ -66,3 +68,31 @@ def _row_cuts(absa: np.ndarray, absb: np.ndarray, tol: float) -> np.ndarray:
     while (up := (idx < n) & (absa * order[np.minimum(idx, n - 1)] < tol)).any():
         idx += up
     return n - idx
+
+
+def q_dk_chi_scalar(d: int, k: int, chi: DirichletCharacter,
+                    h_size: float, k_size: float, p_size: float, f) -> complex:
+    """Q(d, k, chi) of density.q_dk_chi for one character, term by term:
+    chi(p) and chi(h) from the scalar char_eval, the phase from pow, and the
+    weight transform from one what(u, v) per term.  The one-character oracle
+    of the table contraction."""
+    k2 = k * k
+    d0 = cube_kernel(d)
+    a_sc, b_sc = f.a_scale, f.b_scale
+    hs = _dyadic_ints(h_size / d0, 2 * h_size / d0)
+    ps = [p for p in sieve_primes(int(2 * p_size)) if p > max(3, p_size)]
+    gk = float(g_dyadic(k / k_size))
+    total = 0.0 + 0.0j
+    for p in ps:
+        chip = char_eval(chi, p)
+        if k % p == 0 or chip == 0.0:
+            continue
+        cp = (psi4(p) * chip * legendre(k, p) * float(g_dyadic(p / p_size)) * gk
+              * math.log(p) / p**1.5)
+        mod = p * k2
+        for h in map(int, hs):
+            t = pow(h, 3, mod) * pow(d0, 3, mod) % mod
+            wv = f.weight.what(h * d0 * a_sc / p, k * b_sc / p)
+            total += (cp * char_eval(chi, h).conjugate() ** 3 * float(g_dyadic(h * d0 / h_size))
+                      * wv * np.exp(-2j * np.pi * t / mod))
+    return complex(total)

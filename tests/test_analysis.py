@@ -102,8 +102,11 @@ def test_smooth_weight_center_value():
 
 
 def test_smooth_weight_rejects_degenerate_box():
-    with pytest.raises(ValueError):
-        SmoothWeight((1.0, 0.5, 0.5, 1.0))
+    # an edge that is not finite too: an infinite one once gave mass nan
+    for box in ((1.0, 0.5, 0.5, 1.0), (0.5, math.inf, 0.5, 1.0), (0.5, 1.0, -math.inf, 1.0),
+                (0.5, 1.0, 0.5, math.nan)):
+        with pytest.raises(ValueError, match="invalid weight box"):
+            SmoothWeight(box)
 
 
 def test_axis_transform_against_quadrature():

@@ -84,3 +84,25 @@ def test_a_run_reporting_incorrect_output_stops_the_pairs(tmp_path, monkeypatch)
     assert str(stop.value) == (f"bench_pairs: {tmp_path / 'change'}, workload stub_wl, pair 1/10: "
                                "the run reported \"correct\": false (1 of 3 calls failed)")
     assert not (tmp_path / "BENCH_stub.json").exists()
+
+
+def test_every_run_records_the_load_average(tmp_path, monkeypatch, capsys):
+    # a stub benchmark whose runs pass in both checkouts: the record holds one
+    # load value per run, read before it, and the script prints their range
+    spec = {"command": [sys.executable, "stub.py"], "run_seconds": 1,
+            "workloads": [{"name": "stub_wl"}], "end_to_end": METRICS}
+    record = {"correct": True, "metrics": {m["name"]: {"value": 1.0} for m in METRICS}}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+        (tmp_path / side / "stub.py").write_text(f"print({json.dumps(json.dumps(record))})\n")
+    readings = iter(range(100))
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (float(next(readings)), 0.0, 0.0))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--label", "stub"]) == 0
+    loads = json.loads((tmp_path / "BENCH_stub.json").read_text())["load_1min"]
+    # pair 1 runs the parent first, pair 2 the change
+    assert loads == {"stub_wl": {"parent": [0.0, 3.0], "change": [1.0, 2.0]}}
+    assert "stub_wl        load_1min    0.00-3.00 over 4 runs" in capsys.readouterr().out

@@ -18,7 +18,6 @@ from ecdensity.cli import (
     RunConfig,
     main,
     parse_config,
-    render_config,
     validate_config,
 )
 
@@ -27,14 +26,6 @@ README = Path(__file__).parents[1] / "README.md"
 
 
 # -- config files ----------------------------------------------------------
-
-def test_config_render_parse_round_trip():
-    cfg = RunConfig(x=(1e3, 1e4), nu=Fraction(2, 3), box=(0.25, 0.75, 0.5, 2.0),
-                    method="poisson", seed=99, out="sweep", threads=2, tail_tol=1e-8)
-    assert parse_config(render_config(cfg)) == cfg
-    # defaults round-trip too (out omitted when unset)
-    assert parse_config(render_config(RunConfig())) == RunConfig()
-
 
 def test_parse_config_comments_and_layout():
     cfg = parse_config(
@@ -152,6 +143,7 @@ def test_density_bad_flags_exit_2(capsys):
     ("box", ["0.5", "inf", "0.5", "1"]),
     ("seed", ["-1"]),
     ("tail_tol", ["1e-23"]),  # below the floor of the weight's transform envelope
+    ("box", ["1", "0.5", "0.5", "1"]),
 ])
 def test_bad_values_exit_2_from_file_and_flag(tmp_path, capsys, key, words):
     # the config file and the flag read the same parser and checks, on the

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecdensity import density, frobenius
+from ecdensity import characters, density, frobenius
 from ecdensity.density import (
     DEFAULT_TAIL_TOL,
     TABLE_CAP,
@@ -60,7 +60,7 @@ from ecdensity.density import (
 )
 from ecdensity.characters import enumerate_characters
 from ecdensity.frobenius import lambda_table
-from helpers import _row_cuts
+from helpers import _row_cuts, q_dk_chi_scalar
 
 ZERO_FILE = Path(__file__).parent / "data" / "curve_m16_16_zeros.txt"
 
@@ -635,6 +635,14 @@ def test_first_family_build_stays_small_next_to_the_import():
     assert built - base < 4.0
 
 
+def test_nan_tail_tol_is_refused():
+    # NaN fails every comparison, so the radius test is written to fail it;
+    # before, it read radius 0 and dual P1 as -0.0 with no terms
+    for run in (lambda f: density_report(f), poisson_term_count):
+        with pytest.raises(ValueError, match="tail_tol nan must exceed"):
+            run(family(1e5, tail_tol=float("nan")))
+
+
 def test_poisson_tail_tol_monotone(fam_250):
     # tighter tolerance keeps at least as many dual terms
     loose = poisson_term_count(dataclasses.replace(fam_250, tail_tol=1e-6))
@@ -819,9 +827,41 @@ def test_char_expansion_rhs_is_genuinely_computed(fam_250):
 
 
 def test_q_dk_chi_requires_divisibility(fam_250):
-    chi = enumerate_characters(9)[1]
     with pytest.raises(ValueError):
-        q_dk_chi(5, 3, chi, 4.0, 6.0, 50.0, fam_250)
+        q_dk_chi(5, 3, 4.0, 6.0, 50.0, fam_250)
+
+
+@pytest.mark.parametrize("d, k, h_size, k_size, p_size", [
+    pytest.param(1, 7, 4, 6, 4, id="window-prime-7-divides-k"),
+    pytest.param(2, 6, 6, 4, 50, id="d0^3/d-shares-2-with-q-18"),
+    pytest.param(9, 9, 5, 6, 30, id="d0^3/d-shares-3-with-q-9"),
+    pytest.param(1, 8, 3, 5, 40, id="q-64-two-generators"),
+])
+def test_q_dk_chi_matches_scalar_oracle(fam_250, d, k, h_size, k_size, p_size):
+    # every character's Q from the table contraction against the term-by-term
+    # sum over char_eval values, entry by entry
+    got = q_dk_chi(d, k, h_size, k_size, p_size, fam_250)
+    want = [q_dk_chi_scalar(d, k, chi, h_size, k_size, p_size, fam_250)
+            for chi in enumerate_characters(k * k // d)]
+    assert np.count_nonzero(want) == len(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_q_dk_chi_empty_windows_give_zeros(fam_250):
+    # no prime in (1, 2), no h in (0.05, 0.1): one zero per character mod 49
+    for h_size, p_size in ((4.0, 1.0), (0.1, 50.0)):
+        assert q_dk_chi(1, 7, h_size, 6.0, p_size, fam_250).tolist() == [0j] * 42
+
+
+def test_char_expansion_reads_no_scalar_character(fam_250, monkeypatch):
+    # counted where characters calls it and where density would import it
+    calls = []
+    real = characters.char_eval
+    counted = lambda chi, n: calls.append(n) or real(chi, n)  # noqa: E731
+    monkeypatch.setattr(characters, "char_eval", counted)
+    monkeypatch.setattr(density, "char_eval", counted, raising=False)
+    assert verify_char_expansion(4, 6, 50, fam_250).rel_err < 1e-8
+    assert calls == []
 
 
 def test_s_hkp_direct_empty_prime_window(fam_250):

@@ -19,8 +19,11 @@ pairs the change won (a tie counts for neither) and two verdicts, next to
 every run's values.  `gain` holds when the change won at least 9 of 10
 pairs and its median beats the parent's by more than the parent's IQR;
 `regressed` holds when its median is worse than the parent's by more than
-the metric's bound times the parent's median.  The script only runs the
-benchmark command; it reads and writes nothing under bench/ itself.
+the metric's bound times the parent's median.  Before every run the script
+reads the host's 1-minute load average (os.getloadavg()): the record keeps
+one value per run under `load_1min`, and the script prints each workload's
+range, so medians taken on a loaded host can be told apart.  The script only
+runs the benchmark command; it reads and writes nothing under bench/ itself.
 Standard library only.
 """
 
@@ -125,13 +128,15 @@ def main(argv=None) -> int:
               "environment": {"python": platform.python_version(),
                               "nproc": len(os.sched_getaffinity(0)),
                               "machine": platform.machine()},
-              "workloads": {}}
+              "workloads": {}, "load_1min": {}}
     for wl in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        loads: dict[str, list[float]] = {"parent": [], "change": []}
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = parent if side == "parent" else change
+                loads[side].append(os.getloadavg()[0])
                 try:
                     runs[side].append(run_once(checkout, spec["command"], wl, args.seed, seconds))
                 except RuntimeError as exc:
@@ -139,8 +144,11 @@ def main(argv=None) -> int:
             print(f"{wl} pair {i + 1}/{PAIRS} done", file=sys.stderr)
         summary = summarize(runs["parent"], runs["change"], spec["end_to_end"])
         result["workloads"][wl] = summary
+        result["load_1min"][wl] = loads
         for name, s in summary.items():
             print(summary_line(wl, name, s))
+        every = loads["parent"] + loads["change"]
+        print(f"{wl:14s} load_1min    {min(every):.2f}-{max(every):.2f} over {len(every)} runs")
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
