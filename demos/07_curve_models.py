@@ -14,8 +14,7 @@ for a, b in ((1, 1), (-16, 16), (1296, 46656), (2 * 5**4, 3 * 5**6)):
     kinds = ", ".join(f"{p}:{kind}" for p, kind, _ in info.bad_primes)
     print(f"(a,b)=({a},{b})")
     print(f"  minimal model ({am},{bm}) with scaling u={u}")
-    print(f"  odd conductor part {info.odd_part}, band [{info.n_lo}, {info.n_hi}]"
-          f"{' (exact)' if info.exact else ''}")
+    print(f"  odd conductor part {info.odd_part}, band [{info.n_lo}, {info.n_hi}]")
     print(f"  bad reduction at: {kinds or 'none odd'}")
 
 print()

@@ -5,12 +5,10 @@ and verification harnesses for the supporting identities and inequalities.
 
 from .analysis import (
     DEFAULT_BOX,
-    GaussianPair,
     SmoothWeight,
     TestFunctionPair,
     bump,
     fejer_pair,
-    poisson_mod_l_check,
     verify_fourier_pair,
 )
 from .arith import (

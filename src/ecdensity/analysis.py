@@ -298,46 +298,3 @@ class SmoothWeight:
         j = int(np.argmax(env < thresh))
         return du * j
 
-
-# ---------------------------------------------------------------------------
-# 1D Poisson summation check
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    """Self-dual reference pair: w(x) = exp(-pi (x/sigma)^2), what(u) =
-    sigma exp(-pi (sigma u)^2).  Used to exercise Poisson summation with a
-    transform known in closed form."""
-
-    sigma: float = 1.0
-
-    def w(self, x):
-        return np.exp(-np.pi * (np.asarray(x, dtype=float) / self.sigma) ** 2)
-
-    def what(self, u):
-        return self.sigma * np.exp(-np.pi * (self.sigma * np.asarray(u, dtype=float)) ** 2)
-
-    def radius_x(self, tol: float) -> float:
-        return self.sigma * math.sqrt(math.log(1.0 / tol) / math.pi)
-
-    def radius_u(self, tol: float) -> float:
-        return math.sqrt(math.log(max(self.sigma, 1.0) / tol) / math.pi) / self.sigma
-
-
-def poisson_mod_l_check(pair, l: int, a: int, d: float) -> tuple[float, float]:
-    """Both sides of sum over n = a (mod l) of w(n/d)
-    = (d/l) * sum_h what(h d / l) e(h a / l), truncated where the factors
-    have decayed below 1e-15.  Returns (lhs, rhs) as floats (rhs real part;
-    the imaginary part cancels by conjugate pairing).
-    """
-    if l <= 0 or d <= 0:
-        raise ValueError("need l >= 1 and d > 0")
-    rx = pair.radius_x(1e-15)
-    nmax = int(math.ceil(rx * d)) + l
-    ns = np.arange(a - (a + nmax) // l * l, nmax + 1, l, dtype=float)
-    lhs = float(np.sum(pair.w(ns / d)))
-    ru = pair.radius_u(1e-15)
-    hmax = int(math.ceil(ru * l / d)) + 1
-    hs = np.arange(-hmax, hmax + 1, dtype=float)
-    rhs_c = (d / l) * np.sum(pair.what(hs * d / l) * np.exp(2j * np.pi * hs * a / l))
-    return lhs, float(rhs_c.real)

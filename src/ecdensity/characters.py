@@ -38,7 +38,6 @@ class UnitGroupBasis:
     """Generators of (Z/q)^*, lifted to mod q, with their orders."""
 
     q: int
-    prime_powers: tuple[int, ...]
     gens: tuple[int, ...]
     orders: tuple[int, ...]
 
@@ -153,7 +152,7 @@ def unit_group_basis(q: int) -> UnitGroupBasis:
             inv = pow(rest % pk, -1, pk)
             x = (1 + rest * ((g - 1) * inv % pk)) % q
             lifted.append(x)
-    return UnitGroupBasis(q, tuple(pps), tuple(lifted), tuple(orders))
+    return UnitGroupBasis(q, tuple(lifted), tuple(orders))
 
 
 class CharGroup:

@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-from .analysis import GaussianPair, poisson_mod_l_check
 from .arith import sieve_primes
 from .characters import (
     char_group,
@@ -137,14 +136,6 @@ def char_expansion() -> tuple[bool, str]:
     return True, "(4, 6, 50), (3, 4, 40), (5, 3, 30) at X = 250, rel err <= 1e-8"
 
 
-def poisson_mod_l() -> tuple[bool, str]:
-    """Poisson summation over n = 3 mod 7 at d = 5 for the self-dual
-    Gaussian: both sides agree to 1e-12 (1 + |lhs|)."""
-    lhs, rhs = poisson_mod_l_check(GaussianPair(1.0), 7, 3, 5.0)
-    gap = abs(lhs - rhs)
-    return gap <= 1e-12 * (1 + abs(lhs)), f"Gaussian, n = 3 mod 7, d = 5: gap {gap:.1e}"
-
-
 IDENTITY_CHECKS = {check.__name__: check for check in (
     second_moment, twisted_sums, dual_routes, gauss_sums, cubic_structure,
-    char_expansion, poisson_mod_l)}
+    char_expansion)}

@@ -319,7 +319,7 @@ def cmd_crosscheck(cfg: RunConfig, zero_file: str, a: int, b: int) -> int:
             _diag(f"X={x:g}: zero list truncated below required height: {exc}")
             return 3
         n = rep.conductor_info
-        _diag(f"X={x:g} curve=({a},{b}) N={n.n} band=[{n.n_lo},{n.n_hi}] exact={n.exact}")
+        _diag(f"X={x:g} curve=({a},{b}) N={n.n} band=[{n.n_lo},{n.n_hi}]")
         print(f"X={x!r} lhs={rep.lhs!r} rhs_lo={rep.rhs_lo!r} rhs={rep.rhs!r} "
               f"rhs_hi={rep.rhs_hi!r} gap={rep.gap!r} band_gap={rep.gap_band!r} "
               f"budget={rep.budget!r} tail={rep.tail_bound!r}")

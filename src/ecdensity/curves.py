@@ -3,8 +3,8 @@
 Only short models are handled.  At p >= 5 the reduction type and local
 conductor exponent read off the minimal short model exactly; at p = 2, 3 the
 exponents are capped valuation heuristics (min(v2, 8), min(v3, 5)) carried
-with an exact=False flag and a sensitivity band [drop 2 and 3 entirely, apply
-the caps], since short models cannot decide those places.
+with a sensitivity band [drop 2 and 3 entirely, apply the caps], since short
+models cannot decide those places.
 
 conductor_log_batch evaluates the same heuristic over a product grid of a
 and b values with no full-grid pass per prime or per valuation step.  The
@@ -85,7 +85,6 @@ F3_CAP = 5
 @dataclass(frozen=True)
 class ConductorInfo:
     n: int                      # heuristic conductor value
-    exact: bool                 # False whenever 2 or 3 divides the minimal disc
     f2: int
     f3: int
     odd_part: int               # prod over bad p >= 5 of p^f_p (exact)
@@ -115,7 +114,6 @@ def conductor(a: int, b: int) -> ConductorInfo:
     n_hi = odd * (2**F2_CAP if v2 else 1) * (3**F3_CAP if v3 else 1)
     return ConductorInfo(
         n=n,
-        exact=(v2 == 0 and v3 == 0),
         f2=f2,
         f3=f3,
         odd_part=odd,

@@ -14,7 +14,8 @@ where W is the total weight, C(X) the weighted mean of log N / log X, and
 
 P1 has two routes.  The direct route contracts, per prime, the lambda block
 over the residues the (a, b) lattice hits against their weight sums,
-u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.
+u @ lam @ v; P2 contracts the same block as u @ (lam^2 - p) @ v.  Both
+contractions are written once, in _block_terms.
 Both routes cut their prime list into groups of _P1_GROUP consecutive
 primes with arith.runs.  _lattice_blocks builds the blocks of a direct
 chunk by one frobenius.sieved_blocks call, which runs the residue-row FFTs of
@@ -244,17 +245,19 @@ def _lattice_blocks(f: FamilySpec, ps: list[int], stats: dict | None = None
         yield u, lam.astype(np.float64), v
 
 
-def _p1_direct_chunk(f: FamilySpec, pairs: list[tuple[int, float]], w2: dict[int, float]
-                     ) -> tuple[list[float], list[float], dict]:
-    """(the P1 term w_1(p) u @ lam @ v of each (p, w_1(p)) pair, the P2 term
-    w_2(p) u @ (lam^2 - p) @ v of each of those primes that w2 maps to
-    w_2(p), counts of the cells contracted and of the stacked row transforms
-    run, and the seconds of the P2 contractions)."""
+def _block_terms(f: FamilySpec, ps: list[int], w1: dict[int, float], w2: dict[int, float]
+                 ) -> tuple[list[float], list[float], dict]:
+    """(the P1 term w_1(p) u @ lam @ v of each p of ps that w1 maps to
+    w_1(p), the P2 term w_2(p) u @ (lam^2 - p) @ v of each that w2 maps to
+    w_2(p), both in the order of ps, counts of the cells of the P1 blocks
+    and of the stacked row transforms run, and the seconds of the P2
+    contractions)."""
     counts = {"cells": 0, "row_stacks": 0, "p2_s": 0.0}
     terms, terms2 = [], []
-    for (p, w), (u, lam, v) in zip(pairs, _lattice_blocks(f, [p for p, _ in pairs], counts)):
-        terms.append(w * float(u @ lam @ v))
-        counts["cells"] += lam.size
+    for p, (u, lam, v) in zip(ps, _lattice_blocks(f, ps, counts)):
+        if p in w1:
+            terms.append(w1[p] * float(u @ lam @ v))
+            counts["cells"] += lam.size
         if p in w2:
             t0 = time.perf_counter()
             terms2.append(w2[p] * float(u @ (lam * lam - p) @ v))
@@ -271,10 +274,11 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
     contractions in stats["p2_s"]; stats["pooled"] says whether the chunks
     ran in the pool, where p2_s adds up the seconds of the workers."""
     primes, weights = _prime_weights(f, 1)
+    w1 = dict(zip(primes, weights))
     w2 = _p2_weights(f, primes)
-    pairs = list(zip(primes, weights))
-    chunks = [pairs[r.start:r.stop] for r in runs([1] * len(pairs), _P1_GROUP)]
-    w2s = [{p: w2[p] for p, _ in c if p in w2} for c in chunks]
+    chunks = [primes[r.start:r.stop] for r in runs([1] * len(primes), _P1_GROUP)]
+    w1s = [{p: w1[p] for p in c} for c in chunks]
+    w2s = [{p: w2[p] for p in c if p in w2} for c in chunks]
     pooled = f.threads > 1 and len(chunks) > 1 and sum(primes) >= _P1_POOL_WORK
     if pooled:
         # imported here: a serial run never loads multiprocessing
@@ -283,9 +287,9 @@ def p1_direct(f: FamilySpec, stats: dict | None = None) -> float:
         # never more workers than chunks or cores: the executor may start them all at once
         workers = min(f.threads, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_p1_direct_chunk, [f] * len(chunks), chunks, w2s))
+            parts = list(ex.map(_block_terms, [f] * len(chunks), chunks, w1s, w2s))
     else:
-        parts = [_p1_direct_chunk(f, c, w) for c, w in zip(chunks, w2s)]
+        parts = [_block_terms(f, c, a, b) for c, a, b in zip(chunks, w1s, w2s)]
     if stats is not None:
         stats["primes"] = len(primes)
         stats["terms"] = sum(p * p for p in primes)
@@ -511,9 +515,7 @@ def poisson_term_count(f: FamilySpec) -> int:
 def p2_direct(f: FamilySpec) -> float:
     """P2 over p < X^(nu/2), with lambda(p^2) = lambda(p)^2 - p throughout."""
     primes, weights = _prime_weights(f, 2)
-    terms = [w * float(u @ (lam * lam - p) @ v)
-             for p, w, (u, lam, v) in zip(primes, weights, _lattice_blocks(f, primes))]
-    return math.fsum(terms)
+    return math.fsum(_block_terms(f, primes, {}, dict(zip(primes, weights)))[1])
 
 
 def p2_predicted_over_w(f: FamilySpec) -> float:
@@ -799,10 +801,11 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
     sum_{k ~ K} sum_{d | k^2} (1/phi(k^2/d)) sum_{chi mod k^2/d}
         tau(chi) conj(chi)(d0^3/d) Q(d, k, chi),
 
-    with tau the modulus-level Gauss sum, the first column of
-    gauss_sum_matrix(q), and every Q of one (d, k) the one array of
-    q_dk_chi.  Strata whose d0^3/d shares a factor with k^2/d contribute 0
-    through conj(chi)(d0^3/d), so they are skipped.
+    with tau the modulus-level Gauss sum and every Q of one (d, k) the one
+    array of q_dk_chi.  For a unit c = d0^3/d mod q, tau(chi) conj(chi)(c) is
+    the twisted sum tau_c(chi), the column of gauss_sum_matrix(q) at c.
+    Strata whose d0^3/d shares a factor with k^2/d contribute 0 through
+    conj(chi)(d0^3/d), so they are skipped.
     """
     lhs = s_hkp_direct(h_size, k_size, p_size, f)
     rhs = 0.0 + 0.0j
@@ -811,9 +814,9 @@ def verify_char_expansion(h_size: float, k_size: float, p_size: float,
             q, c = k * k // d, cube_kernel(d) ** 3 // d
             if math.gcd(c, q) > 1:
                 continue
-            taus = gauss_sum_matrix(q)[2][:, 0]
-            factors = character_table(q)[1][:, c % q].conj()
-            rhs += taus * factors @ q_dk_chi(d, k, h_size, k_size, p_size, f) / len(taus)
+            _, units, taus = gauss_sum_matrix(q)
+            twisted = taus[:, np.searchsorted(units, c % q)]
+            rhs += twisted @ q_dk_chi(d, k, h_size, k_size, p_size, f) / len(twisted)
     scale = max(abs(lhs), 1e-300)
     return ExpansionCheck(complex(lhs), complex(rhs), abs(lhs - rhs) / scale)
 

@@ -1,4 +1,4 @@
-"""Test-function pairs, bump weights, transforms, Poisson summation."""
+"""Test-function pairs, bump weights and their transforms."""
 
 import math
 import tracemalloc
@@ -12,12 +12,10 @@ from ecdensity.analysis import (
     _PROFILE_BINS,
     _PROFILE_SAMPLES,
     DEFAULT_BOX,
-    GaussianPair,
     SmoothWeight,
     bump,
     fejer_pair,
     _unit_bump_constants,
-    poisson_mod_l_check,
     verify_fourier_pair,
 )
 
@@ -319,25 +317,3 @@ def test_gauss_legendre_rule_matches_a_40_digit_reference():
             assert abs(mp.mpf(float(x0)) - x) <= 2 * np.spacing(float(x))
             assert abs(mp.mpf(float(w0)) - want) <= 1e-12 * want
         assert abs(total - 2) < mp.mpf(10) ** -30
-
-
-def test_gaussian_pair_closed_form_transform():
-    g = GaussianPair(1.7)
-    for u in (0.0, 0.4, 1.1):
-        re, _ = quad(lambda x: float(g.w(x)) * math.cos(2 * math.pi * u * x),
-                     -30, 30, limit=400)
-        assert float(g.what(u)) == pytest.approx(re, abs=1e-12)
-
-
-def test_poisson_summation_gaussian():
-    lhs, rhs = poisson_mod_l_check(GaussianPair(1.0), 7, 3, 5.0)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-    lhs, rhs = poisson_mod_l_check(GaussianPair(0.6), 5, 0, 11.0)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_poisson_check_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        poisson_mod_l_check(GaussianPair(1.0), 0, 0, 1.0)
-    with pytest.raises(ValueError):
-        poisson_mod_l_check(GaussianPair(1.0), 5, 0, -2.0)

@@ -40,22 +40,41 @@ def test_summary_on_fixed_numbers():
         "gain=False regressed=False")
 
 
-@pytest.mark.parametrize("shift, frac, gain, regressed", [
-    pytest.param(-2.0, 1.0, True, False, id="gain"),
-    pytest.param(-0.25, 1.0, False, False, id="won-all-inside-iqr"),
-    pytest.param(4.0, 1.0, False, False, id="worse-inside-bound"),
-    pytest.param(4.5, 0.98, False, True, id="regressed"),
+NARROW = (42.0, 42.5, 41.0, 43.0, 42.25)  # median 42.25, IQR 0.5
+WIDE = (30.0, 40.0, 42.25, 45.0, 55.0)  # median 42.25, IQR 5 > 0.1 * 42.25
+CLUSTER = (30.0, 37.0, 42.25, 42.3, 42.4)  # median 42.25, IQR 5.3
+
+
+@pytest.mark.parametrize("parent_rss, change_rss, frac, gain, regressed", [
+    pytest.param(NARROW, [v - 2.0 for v in NARROW], 1.0, True, False, id="gain"),
+    pytest.param(NARROW, [v - 0.25 for v in NARROW], 1.0, False, False,
+                 id="won-all-inside-iqr"),
+    pytest.param(NARROW, [v + 4.0 for v in NARROW], 1.0, False, False, id="worse-inside-bound"),
+    pytest.param(NARROW, [v + 4.5 for v in NARROW], 0.98, False, True, id="regressed"),
+    pytest.param(WIDE, WIDE, 1.0, False, "unresolved", id="wide-parent-unchanged"),
+    pytest.param(WIDE, [v + 5.0 for v in WIDE], 1.0, False, "unresolved",
+                 id="wide-parent-past-bound"),
+    pytest.param(WIDE, [v - 26.0 for v in WIDE], 1.0, True, False,
+                 id="wide-parent-every-run-better"),
+    pytest.param(WIDE, [v + 26.0 for v in WIDE], 1.0, False, True,
+                 id="wide-parent-every-run-worse"),
+    pytest.param(CLUSTER, [43.0] * 5, 1.0, False, "unresolved",
+                 id="every-run-worse-inside-bound"),
 ])
-def test_verdicts_on_fixed_numbers(shift, frac, gain, regressed):
-    # peak_rss_mb, lower is better: parent median 42.25 and IQR 0.5, so a
+def test_verdicts_on_fixed_numbers(parent_rss, change_rss, frac, gain, regressed):
+    # peak_rss_mb, lower is better: parent median 42.25, so the bound 0.1
+    # makes a median above 46.475 a regression.  With NARROW's IQR of 0.5 a
     # gain needs all 5 pairs (9 of 10 scaled to 5) and a median more than 0.5
-    # lower; the bound 0.1 makes a median above 46.475 a regression.
+    # lower.  WIDE and CLUSTER spread wider than the bound's 4.225, so the
+    # verdict is unresolved unless the change's runs all sit on one side.
     # pass_frac, higher is better: 0.98 against 1.0 is worse by more than 0.01
-    parent = [{"peak_rss_mb": v, "pass_frac": 1.0} for v in (42.0, 42.5, 41.0, 43.0, 42.25)]
-    change = [{"peak_rss_mb": r["peak_rss_mb"] + shift, "pass_frac": frac} for r in parent]
+    parent = [{"peak_rss_mb": v, "pass_frac": 1.0} for v in parent_rss]
+    change = [{"peak_rss_mb": v, "pass_frac": frac} for v in change_rss]
     s = bench_pairs.summarize(parent, change, METRICS)
     assert (s["peak_rss_mb"]["gain"], s["peak_rss_mb"]["regressed"]) == (gain, regressed)
     assert (s["pass_frac"]["gain"], s["pass_frac"]["regressed"]) == (False, frac < 1.0)
+    line = bench_pairs.summary_line("w", "peak_rss_mb", s["peak_rss_mb"])
+    assert line.endswith(f"gain={gain} regressed={regressed}")
 
 
 def test_paths_of_different_lengths_are_refused(tmp_path):

@@ -374,10 +374,8 @@ def test_crosscheck_height_zero_list_exit_3(tmp_path, capsys):
 def test_identity_registry_names():
     assert list(IDENTITY_CHECKS) == [
         "second_moment", "twisted_sums", "dual_routes", "gauss_sums",
-        "cubic_structure", "char_expansion", "poisson_mod_l",
+        "cubic_structure", "char_expansion",
     ]
-    ok, detail = IDENTITY_CHECKS["poisson_mod_l"]()
-    assert ok, detail
 
 
 def test_verify_identities_runs_registry_in_order(monkeypatch, capsys):

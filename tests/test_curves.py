@@ -70,7 +70,6 @@ def test_conductor_known_values():
     assert info.n_lo == 31
     assert info.n_hi == 2**8 * 31
     assert info.bad_primes == ((31, "multiplicative", 1),)
-    assert not info.exact
 
     info = conductor(-16, 16)
     # true conductor 37 sits at the bottom of the band

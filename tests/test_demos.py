@@ -24,11 +24,11 @@ def test_demo_imports_resolve():
 
 
 def test_character_demo_runs():
-    # the quick demos also run, which catches a removed keyword argument the
-    # import check cannot see; the slower demos stay import-checked only
+    # the quick demos also run, which catches a removed keyword argument or
+    # field the import check cannot see; the slower demos stay import-checked only
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for name in ("01_density_sweep.py", "02_dual_paths.py", "04_characters.py",
-                 "08_zero_crosscheck.py"):
+    for name in ("01_density_sweep.py", "02_dual_paths.py", "03_trace_tables.py",
+                 "04_characters.py", "07_curve_models.py", "08_zero_crosscheck.py"):
         run = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, f"{name}: {run.stderr}"

@@ -27,13 +27,13 @@ from ecdensity.density import (
     ZeroList,
     ZeroListTooShort,
     _axis_lattice,
+    _block_terms,
     _dual_extent,
     _dual_group_sums,
     _dual_groups,
     _dual_radii,
     _lattice_blocks,
     _prime_weights,
-    _p1_direct_chunk,
     _single_prime_side,
     check_lattice,
     conductor_term,
@@ -225,7 +225,8 @@ def test_p1_direct_streams_family_1e5():
     f = family(1e5)
     got = p1_direct(f)
     assert repr(got) == "5.537144739874145e-05"
-    terms, _, _ = _p1_direct_chunk(f, list(zip(*_prime_weights(f, 1))), {})
+    ps, ws = _prime_weights(f, 1)
+    terms, _, _ = _block_terms(f, ps, dict(zip(ps, ws)), {})
     assert got == float(sum(map(Fraction, terms)))
 
 

@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from ecdensity.arith import cube_kernel, d_triple, smallest_factor_table
 from ecdensity.harness import (
     CONSTANT_ONE,
     RatioReport,
     WellSpacedSet,
+    _kernel_terms,
     dirichlet_meanvalue_check,
     dirichlet_meanvalue_suite,
     expsum_ratio,
@@ -222,6 +224,25 @@ def test_dirichlet_meanvalue_suite_runs():
 
 
 # -- divisor-kernel growth fits --------------------------------------------
+
+def test_kernel_terms_match_factorization_oracle():
+    # the six summands from the kernels of d (arith.d_triple) and of d^4
+    # (arith.cube_kernel), by the same expressions: equal to the last bit
+    spf = smallest_factor_table(2000)
+    for d in range(1, 2001):
+        t = d_triple(d)
+        dp, ds, d0, d40 = t.d_sq, t.d_star, t.d_cube, cube_kernel(d**4)
+        cbrt = float(d) ** (1.0 / 3.0)
+        want = (
+            d * math.sqrt(ds) / (math.sqrt(d0) * dp**1.5),
+            d * math.sqrt(ds) / (d0 * dp**1.5),
+            d / d40,
+            1.0 / math.sqrt(dp),
+            cbrt / (float(d0) ** (2.0 / 3.0) * dp),
+            cbrt * ds / (float(d0) ** (2.0 / 3.0) * dp**3),
+        )
+        assert _kernel_terms(d, spf) == want, d
+
 
 def test_growth_fit_mechanics():
     fits = lemma_f_growth(3000)

@@ -19,7 +19,11 @@ pairs the change won (a tie counts for neither) and two verdicts, next to
 every run's values.  `gain` holds when the change won at least 9 of 10
 pairs and its median beats the parent's by more than the parent's IQR;
 `regressed` holds when its median is worse than the parent's by more than
-the metric's bound times the parent's median.  Before every run the script
+the metric's bound times the parent's median.  When the parent's own IQR is
+wider than that allowance, the runs cannot tell a regression from noise and
+`regressed` reads "unresolved", unless every change run beats every parent
+run (False) or every change run is worse than every parent run and the
+median passes the bound (True).  Before every run the script
 reads the host's 1-minute load average (os.getloadavg()): the record keeps
 one value per run under `load_1min`, and the script prints each workload's
 range, so medians taken on a loaded host can be told apart.  The script only
@@ -78,11 +82,32 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def regressed(pv: list[float], cv: list[float], sign: int, bound: float | None
+              ) -> bool | str | None:
+    """The `regressed` verdict of parent runs pv and change runs cv, sign 1
+    when lower is better and -1 when higher is: None without a bound, else
+    whether the change's median is worse by more than bound times the
+    parent's median, or "unresolved" when the parent's IQR is wider than that
+    and the runs do not separate."""
+    if bound is None:
+        return None
+    pm = statistics.median(pv)
+    past = sign * (statistics.median(cv) - pm) > bound * pm
+    if iqr(pv) <= bound * pm:
+        return past
+    ps, cs = [sign * v for v in pv], [sign * v for v in cv]
+    if max(cs) < min(ps):
+        return False
+    if min(cs) > max(ps) and past:
+        return True
+    return "unresolved"
+
+
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """Per metric of `metrics` (BENCHMARK.json's end_to_end entries): both
     medians, the parent's IQR, the pairs the change won, run i of parent
     paired with run i of change, and the verdicts `gain` and `regressed`
-    (None when the metric has no bound)."""
+    (see regressed)."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
@@ -95,7 +120,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
                      "parent_median": pm, "change_median": cm,
                      "parent_iqr": spread, "pairs": len(pv), "won": won,
                      "gain": won >= GAIN_SHARE * len(pv) and sign * (pm - cm) > spread,
-                     "regressed": None if bound is None else sign * (cm - pm) > bound * pm,
+                     "regressed": regressed(pv, cv, sign, bound),
                      "parent": pv, "change": cv}
     return out
 
